@@ -426,8 +426,11 @@ def _persist(store, key, fn, code_bytes):
 
 def _promote(store, key, result, policy, obs, goal):
     """Compile ``result``, persist the artifacts (policy permitting),
-    memoise, and account the promotion."""
+    memoise, release its decoded residual, and account the promotion."""
+    from repro.speccache import release_decoded
+
     fn, code_bytes = _compile_result(result, obs=obs)
+    release_decoded(result.program)
     if store is not None and policy.persist:
         _persist(store, key, fn, code_bytes)
     if key is not None:

@@ -45,6 +45,7 @@ from typing import Dict, Optional
 from repro.bt.analysis import analyse_module
 from repro.bt.bttypes import BTTBase, BTTFun, BTTList, BTTPair, BTTSkel
 from repro.bt.scheme import BTScheme
+from repro.lru import LruMemo
 
 INTERFACE_SUFFIX = ".bti"
 KEY_SUFFIX = ".bti.key"
@@ -280,6 +281,19 @@ class Interface:
         return self.versions.get(name, ())
 
 
+# Parsing an interface re-derives every scheme and its digest, and a
+# rebuild loads the same unchanged texts again (cache hits, dependency
+# maps, the previous build's digests).  load_text therefore memoises per
+# process in a bounded LRU keyed by the exact text — the result is a
+# pure function of it, and Interface is frozen.
+_LOAD_MEMO = LruMemo(4096)  # interface text -> Interface
+
+
+def clear_interface_memo():
+    """Drop every memoised interface parse (test isolation)."""
+    _LOAD_MEMO.clear()
+
+
 class InterfaceStore:
     """The single place v1/v2 interface documents are parsed, verified
     and digested.
@@ -304,7 +318,19 @@ class InterfaceStore:
 
         Raises :class:`InterfaceError` — naming ``origin`` — on corrupt,
         truncated, or structurally wrong input, never a bare
-        ``json.JSONDecodeError``."""
+        ``json.JSONDecodeError``.
+
+        Memoised per process on the exact text (see
+        :data:`_LOAD_MEMO`): equal texts return the same
+        :class:`Interface`, whose ``schemes``/``digests`` callers must
+        therefore never mutate.  Errors are not memoised."""
+        iface = _LOAD_MEMO.get(text)
+        if iface is None:
+            iface = self._parse_text(text, origin)
+            _LOAD_MEMO.put(text, iface)
+        return iface
+
+    def _parse_text(self, text, origin):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as e:
@@ -487,7 +513,7 @@ def interface_from_text(text, origin="<interface>"):
 
     Compatibility wrapper over :meth:`InterfaceStore.load_text`."""
     iface = _STORE.load_text(text, origin=origin)
-    return iface.module, iface.schemes
+    return iface.module, dict(iface.schemes)
 
 
 def read_interface(path):
@@ -495,7 +521,7 @@ def read_interface(path):
 
     Compatibility wrapper over :meth:`InterfaceStore.load`."""
     iface = _STORE.load(path)
-    return iface.module, iface.schemes
+    return iface.module, dict(iface.schemes)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ nothing, so the cache is never poisoned: the next build re-analyses
 exactly the failed cone.  See ``docs/robustness.md``.
 """
 
+import hashlib
 import marshal
 import os
 from contextlib import contextmanager
@@ -65,6 +66,7 @@ from repro.genext.link import GenextProgram, load_genext
 from repro.lang.errors import LangError, ValidationError
 from repro.lang.parser import parse_program
 from repro.lang.validate import resolve_module
+from repro.lru import LruMemo
 from repro.modsys.graph import ModuleGraph
 from repro.modsys.program import SOURCE_SUFFIX
 from repro.obs import Obs
@@ -104,6 +106,31 @@ DEFAULT_CACHE_DIRNAME = ".mspec-cache"
 # bug fails loudly there instead of hiding as a perf regression —
 # the same treatment EventBus handler errors got.
 STRICT_INCREMENTAL = False
+
+# A module's parse is a pure function of its file text, so a rebuild
+# should pay a digest for every unchanged file, not a parse.  The scan
+# memoises per process, keyed by the text's SHA-256, in a bounded LRU;
+# the AST is frozen, so sharing a parsed Program across builds is safe.
+# Parse errors are not memoised, and the structural checks run on every
+# scan, hit or miss.  The capacity covers a 10^3-module graph plus its
+# edit history: a sweep over more files than this evicts in LRU order,
+# i.e. misses.
+_SCAN_MEMO = LruMemo(4096)  # sha256(text) -> Program
+
+
+def clear_scan_memo():
+    """Drop every memoised source parse (test isolation)."""
+    _SCAN_MEMO.clear()
+
+
+def _parse_source(text):
+    """``parse_program(text)``, memoised on the text's digest."""
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    program = _SCAN_MEMO.get(digest)
+    if program is None:
+        program = parse_program(text)
+        _SCAN_MEMO.put(digest, program)
+    return program
 
 
 @dataclass(frozen=True)
@@ -269,7 +296,8 @@ class BuildEngine:
     # -- scanning -----------------------------------------------------------
 
     def scan(self):
-        """Parse every source file; returns ``({name: SourceModule},
+        """Parse every source file (an unchanged text is a memo hit, see
+        :data:`_SCAN_MEMO`); returns ``({name: SourceModule},
         {name: ModuleFailure})``.
 
         Performs the same structural checks as
@@ -292,7 +320,7 @@ class BuildEngine:
                 text = f.read()
             expected = entry[: -len(SOURCE_SUFFIX)]
             try:
-                parsed = parse_program(text)
+                parsed = _parse_source(text)
                 if len(parsed.modules) != 1:
                     raise ValidationError(
                         "%s: expected exactly one module per file" % entry
@@ -352,15 +380,23 @@ class BuildEngine:
                 os.path.join(self.out_dir, "%s.genext.py" % name), genext_source
             )
 
-    def _failed_root(self, graph, name, failures):
-        """The root-cause module for ``name``: the failed module(s) in
-        its import cone (deterministically the alphabetically first)."""
-        roots = sorted(
-            failures[f].root_cause
-            for f in graph.reachable_from(name)
-            if f in failures
-        )
-        return roots[0] if roots else None
+    @staticmethod
+    def _failure_cone(graph, failures):
+        """``{module: root cause}`` for every module with a failed module
+        in its import cone (deterministically the alphabetically first
+        root cause).  One pass in topological order: a module's roots
+        are its failed imports' root causes plus its imports' roots."""
+        cone = {}
+        for name in graph.topo_order():
+            roots = []
+            for dep in graph.imports_of(name):
+                if dep in failures:
+                    roots.append(failures[dep].root_cause)
+                if dep in cone:
+                    roots.append(cone[dep])
+            if roots:
+                cone[name] = min(roots)
+        return cone
 
     def build(self, stats=None):
         """Run the pipeline; returns a :class:`BuildResult`.
@@ -440,11 +476,24 @@ class BuildEngine:
         keys = {}
         order = []
         skipped = {}  # name -> root-cause module
+        cone, cone_of = {}, 0  # _failure_cone of the first cone_of failures
+
+        def failed_root(name):
+            """The root-cause module in ``name``'s import cone, or
+            ``None``.  Free while nothing has failed; otherwise the cone
+            is recomputed only when the failure set has grown."""
+            nonlocal cone, cone_of
+            if not failures:
+                return None
+            if cone_of != len(failures):
+                cone, cone_of = self._failure_cone(graph, failures), len(failures)
+            return cone.get(name)
+
         if failures and not self.policy.keep_going:
             for name in graph.modules():
                 if name in failures:
                     continue
-                root = self._failed_root(graph, name, failures)
+                root = failed_root(name)
                 if root is not None:
                     skipped[name] = root
                     stats.note_skipped(name)
@@ -471,7 +520,7 @@ class BuildEngine:
                             if name in failures:  # failed at scan: no source
                                 continue
                             src = sources[name]
-                            root = self._failed_root(graph, name, failures)
+                            root = failed_root(name)
                             if root is not None:
                                 skipped[name] = root
                                 stats.note_skipped(name)
@@ -632,7 +681,7 @@ class BuildEngine:
                     for name in sources:
                         if name in genexts or name in failures or name in skipped:
                             continue
-                        root = self._failed_root(graph, name, failures)
+                        root = failed_root(name)
                         if root is not None:
                             skipped[name] = root
                             stats.note_skipped(name)
@@ -648,14 +697,17 @@ class BuildEngine:
                 # protocol: InterfaceManager recomputes a v1 module_key
                 # from what is on disk, so that is what gets recorded —
                 # regardless of which keying the cache itself used.
-                sidecar_key = module_key(
-                    sources[name].text.encode("utf-8"),
-                    [
-                        (dep, digest_text(ifaces[dep].text))
-                        for dep in sources[name].imports
-                    ],
-                    self.force_residual,
-                )
+                # Without an iface_dir there is no sidecar to write.
+                sidecar_key = None
+                if self.iface_dir is not None:
+                    sidecar_key = module_key(
+                        sources[name].text.encode("utf-8"),
+                        [
+                            (dep, digest_text(ifaces[dep].text))
+                            for dep in sources[name].imports
+                        ],
+                        self.force_residual,
+                    )
                 self._publish(
                     name, sidecar_key, ifaces[name].text, genexts[name].source
                 )

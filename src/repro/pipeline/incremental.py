@@ -61,11 +61,25 @@ from repro.genext.cogen import (
 from repro.lang.names import called_functions, def_called_functions, free_vars
 from repro.lang.pretty import pretty_def
 from repro.lang.validate import resolve_module
+from repro.lru import LruMemo
 from repro.types.infer import module_def_sccs
 
 DEFS_FORMAT = "repro.defs/v1"
 
 _SCC_KEY_SALT = b"mspec-scc-key\x00"
+
+
+# referenced_names is memoised per parsed module *object*: the build's
+# scan memo hands back the same frozen Module for an unchanged file, so a
+# rebuild walks only the edited module's bodies.  Keyed by id(), with
+# the module itself kept in the entry so the id cannot be reused while
+# the entry lives (hashing the frozen tree would cost a walk too).
+_REFS_MEMO = LruMemo(4096)  # id(module) -> (module, frozenset of names)
+
+
+def clear_referenced_names_memo():
+    """Drop every memoised reference set (test isolation)."""
+    _REFS_MEMO.clear()
 
 
 def referenced_names(module):
@@ -77,11 +91,16 @@ def referenced_names(module):
     potential references alongside call heads.  Intersected with the
     imports' exported names, this is the set of definitions a module's
     cache key may legitimately depend on."""
+    hit = _REFS_MEMO.get(id(module))
+    if hit is not None:
+        return hit[1]
     names = set()
     for d in module.defs:
         names |= called_functions(d.body)
         names |= free_vars(d.body, frozenset(d.params))
-    return frozenset(names)
+    names = frozenset(names)
+    _REFS_MEMO.put(id(module), (module, names))
+    return names
 
 
 def used_import_digests(module, visible_digests):

@@ -54,13 +54,12 @@ also emits a ``speccache.hit`` / ``speccache.miss`` event on the bus.
 
 import hashlib
 import json
-import threading
-from collections import OrderedDict
 
 from repro.bt.interface import CACHE_EPOCH
 from repro.lang.errors import LangError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
+from repro.lru import LruMemo
 from repro.modsys.program import link_program
 from repro.pipeline.cache import RESID_KIND, ArtifactCache
 
@@ -71,6 +70,7 @@ __all__ = [
     "clear_decode_memo",
     "decode_result",
     "encode_result",
+    "release_decoded",
     "residual_cache_key",
     "validate_payload_bytes",
 ]
@@ -168,32 +168,30 @@ def encode_result(result):
 # safe (one SpecialisationResult already serves every dedup index in
 # the batch driver).  Hits/misses land in the caller's registry as
 # ``speccache.decode_hits`` / ``speccache.decode_misses``.
-_DECODE_CAPACITY = 256
-_DECODE_MEMO = OrderedDict()  # sha256(program) -> (program, linked)
-_DECODE_LOCK = threading.Lock()
+_DECODE_MEMO = LruMemo(256)  # sha256(program) -> (program, linked)
 
 
 def clear_decode_memo():
     """Drop every memoised parse (test isolation)."""
-    with _DECODE_LOCK:
-        _DECODE_MEMO.clear()
+    _DECODE_MEMO.clear()
+
+
+def release_decoded(program):
+    """Drop the memo entry holding ``program``; returns whether one was
+    held.  Called once a residual has been compiled to tier 2: nothing
+    in the process decodes it again, so the entry would only pin the
+    parsed and linked program in memory."""
+    return _DECODE_MEMO.discard_where(lambda entry: entry[0] is program)
 
 
 def _decode_program(text):
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    with _DECODE_LOCK:
-        hit = _DECODE_MEMO.get(digest)
-        if hit is not None:
-            _DECODE_MEMO.move_to_end(digest)
+    hit = _DECODE_MEMO.get(digest)
     if hit is not None:
         return hit + (True,)
     program = parse_program(text)
     linked = link_program(program)
-    with _DECODE_LOCK:
-        _DECODE_MEMO[digest] = (program, linked)
-        _DECODE_MEMO.move_to_end(digest)
-        while len(_DECODE_MEMO) > _DECODE_CAPACITY:
-            _DECODE_MEMO.popitem(last=False)
+    _DECODE_MEMO.put(digest, (program, linked))
     return program, linked, False
 
 

@@ -233,6 +233,19 @@ def _fresh_tier_state():
 
 
 @pytest.fixture(autouse=True)
+def _fresh_build_memos():
+    """The build's process-wide memos (source scan, interface parse,
+    referenced names) start empty in every test."""
+    from repro.bt.interface import clear_interface_memo
+    from repro.pipeline.build import clear_scan_memo
+    from repro.pipeline.incremental import clear_referenced_names_memo
+
+    clear_scan_memo()
+    clear_interface_memo()
+    clear_referenced_names_memo()
+
+
+@pytest.fixture(autouse=True)
 def _strict_event_bus(monkeypatch):
     """Run every in-process EventBus in strict mode: a subscriber that
     raises fails the test instead of being counted and suppressed.

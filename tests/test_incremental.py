@@ -466,3 +466,166 @@ def test_isomorphic_scheme_reuse_survives_missing_refs(tmp_path):
     assert result.analysed == ["M0"], "no refs: whole-module fallback"
     assert result.incremental == []
     assert result.report.ok
+
+
+# ---------------------------------------------------------------------------
+# Content-keyed memos: a warm rebuild pays per changed file.
+# ---------------------------------------------------------------------------
+
+
+def test_one_literal_edit_on_a_60_module_chain_parses_one_file(
+    tmp_path, monkeypatch
+):
+    from repro.pipeline import build
+
+    sources = _chain(60)
+    _write_all(tmp_path, sources)
+    cache = str(tmp_path / "cache")
+    build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+
+    parsed = []
+    real_parse = build.parse_program
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(build, "parse_program", counting_parse)
+    edited = sources["M30"].replace("x * 2", "x * 5")
+    _write(tmp_path, "M30", edited)
+    result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert parsed == [edited]
+    assert result.incremental == ["M30"]
+    assert len(result.cached) == 59
+
+    # A no-op rebuild parses nothing at all.
+    parsed.clear()
+    build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert parsed == []
+
+
+def test_edit_then_revert_yields_the_right_module_each_time(tmp_path):
+    from repro.lang.pretty import pretty_def
+    from repro.pipeline import BuildEngine
+
+    sources = _chain(4)
+    edited = dict(sources, M0=sources["M0"].replace("x * 2", "x * 3"))
+    src = tmp_path / "src"
+    src.mkdir()
+    _write_all(src, sources)
+    options = BuildOptions(cache_dir=str(tmp_path / "cache"))
+    original = build_dir(str(src), options)
+    for step, version in enumerate((edited, sources, edited, sources)):
+        _write(src, "M0", version["M0"])
+        scanned, failures = BuildEngine(str(src), options).scan()
+        assert failures == {}
+        body = pretty_def(scanned["M0"].module.defs[1])
+        assert ("x * 3" if version is edited else "x * 2") in body
+        result = build_dir(str(src), options)
+        cold_dir = tmp_path / ("cold%d" % step)
+        cold_dir.mkdir()
+        _write_all(cold_dir, version)
+        cold = build_dir(
+            str(cold_dir), BuildOptions(cache_dir=str(cold_dir / "cache"))
+        )
+        assert result.keys == cold.keys
+        assert _artifacts(result) == _artifacts(cold)
+    assert result.keys == original.keys
+
+
+def test_equal_interface_texts_load_equal_interfaces(tmp_path):
+    schemes = _power_schemes(tmp_path)
+    text = interface_text("Power", schemes)
+    copy = "".join(list(text))  # equal text, a distinct str object
+    assert copy is not text
+    first = InterfaceStore().load_text(text, origin="<first>")
+    second = InterfaceStore().load_text(copy, origin="<second>")
+    assert first == second
+    assert first.schemes == schemes
+    assert first.digests == {n: scheme_digest(s) for n, s in schemes.items()}
+
+
+def test_corrupt_interface_names_its_origin_on_every_call():
+    from repro.bt.interface import InterfaceError
+
+    store = InterfaceStore()
+    for origin in ("<first>", "<second>", "<first>"):
+        with pytest.raises(InterfaceError, match=origin):
+            store.load_text('{"format": 2, "module": "M"', origin=origin)
+
+
+def test_memo_clear_helpers_force_a_fresh_parse(tmp_path, monkeypatch):
+    from repro.bt.interface import clear_interface_memo
+    from repro.pipeline import BuildEngine, build, incremental
+
+    _write(tmp_path, "Power", POWER)
+    engine = BuildEngine(str(tmp_path))
+    first = engine.scan()[0]["Power"].module
+    assert engine.scan()[0]["Power"].module is first  # a memo hit
+    names = incremental.referenced_names(first)
+    assert incremental.referenced_names(first) is names
+
+    (tmp_path / "p").mkdir()
+    text = interface_text("Power", _power_schemes(tmp_path / "p"))
+    iface = InterfaceStore().load_text(text)
+    assert InterfaceStore().load_text(text) is iface
+
+    build.clear_scan_memo()
+    incremental.clear_referenced_names_memo()
+    clear_interface_memo()
+    again = engine.scan()[0]["Power"].module
+    assert again is not first and again == first
+    assert incremental.referenced_names(first) is not names
+    assert InterfaceStore().load_text(text) is not iface
+
+
+def test_lru_memo_is_bounded_and_evicts_least_recently_used():
+    from repro.lru import LruMemo
+
+    memo = LruMemo(2)
+    memo.put("a", 1)
+    memo.put("b", 2)
+    assert memo.get("a") == 1  # "b" is now least recently used
+    memo.put("c", 3)
+    assert len(memo) == 2
+    assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)
+    assert memo.discard_where(lambda v: v == 3)
+    assert not memo.discard_where(lambda v: v == 3)
+    assert len(memo) == 1
+
+
+def test_lru_memo_stays_bounded_and_consistent_under_threads():
+    import sys
+    import threading
+
+    from repro.lru import LruMemo
+
+    memo = LruMemo(8)
+    errors = []
+
+    def hammer(seed):
+        try:
+            for i in range(3000):
+                key = (seed * 7 + i) % 32
+                value = memo.get(key)
+                if value is not None and value != ("v", key):
+                    errors.append((key, value))
+                memo.put(key, ("v", key))
+                if len(memo) > 8:
+                    errors.append(("size", len(memo)))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(memo) == 8

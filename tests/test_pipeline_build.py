@@ -215,3 +215,75 @@ def test_cli_build(tmp_path, capsys):
     assert main(["build", str(tmp_path), "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert "cached" in out and "analysed" not in out
+
+
+# ---------------------------------------------------------------------------
+# A warm rebuild pays per changed file: the failure cone and the scan memo.
+# ---------------------------------------------------------------------------
+
+
+def _no_reachability(monkeypatch):
+    from repro.modsys.graph import ModuleGraph
+
+    def refuse(self, name):
+        raise AssertionError("reachable_from(%r) walked" % name)
+
+    monkeypatch.setattr(ModuleGraph, "reachable_from", refuse)
+
+
+def test_a_build_without_failures_never_walks_reachability(
+    tmp_path, monkeypatch
+):
+    _no_reachability(monkeypatch)
+    sources = _layered(tmp_path)
+    cache = str(tmp_path / "cache")
+    cold = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert cold.report.ok and sorted(cold.analysed) == sorted(sources)
+    warm = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert warm.report.ok and sorted(warm.cached) == sorted(sources)
+
+
+def test_failure_cone_names_the_first_root_cause(tmp_path, monkeypatch):
+    """Two failed modules under one importer: the importer and its own
+    importer are skipped, each attributed to the alphabetically first
+    root cause, and the cone is found without per-module walks."""
+    from repro.pipeline import BuildError, FaultPolicy
+
+    _no_reachability(monkeypatch)
+    _write(tmp_path, "Zed", "module Zed where\n\nz n = @@@\n")
+    _write(tmp_path, "Alpha", "module Alpha where\n\na n = @@@\n")
+    _write(tmp_path, "Ok", "module Ok where\n\nk n = n + 1\n")
+    _write(
+        tmp_path, "Mid",
+        "module Mid where\nimport Zed\nimport Ok\nimport Alpha\n\n"
+        "m n = z (k (a n))\n",
+    )
+    _write(tmp_path, "Top", "module Top where\nimport Mid\n\nt n = m n\n")
+    _write(tmp_path, "Side", "module Side where\nimport Ok\n\ns n = k n\n")
+    cache = str(tmp_path / "cache")
+    result = build_dir(
+        str(tmp_path),
+        BuildOptions(cache_dir=cache, policy=FaultPolicy(keep_going=True)),
+    )
+    report = result.report
+    assert [f.module for f in report.failures] == ["Alpha", "Zed"]
+    assert report.skipped == {"Mid": "Alpha", "Top": "Alpha"}
+    assert sorted(report.succeeded) == ["Ok", "Side"]
+    with pytest.raises(BuildError) as excinfo:
+        build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert excinfo.value.report.skipped == report.skipped
+
+
+def test_scan_memo_hit_still_checks_the_file_name(tmp_path):
+    _write(tmp_path, "Power", POWER)
+    engine = BuildEngine(str(tmp_path))
+    sources, failures = engine.scan()
+    assert list(sources) == ["Power"] and failures == {}
+    # The same text under another file name is a memo hit for the
+    # parse, but the structural checks run again and reject it.
+    _write(tmp_path, "Other", POWER)
+    sources, failures = engine.scan()
+    assert list(sources) == ["Power"]
+    assert list(failures) == ["Other"]
+    assert failures["Other"].error_class == "ValidationError"
+    assert "file name must match" in failures["Other"].message

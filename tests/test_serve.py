@@ -783,20 +783,23 @@ def test_supervisor_does_not_restart_a_graceful_exit(moddir):
 
     config = ServeConfig(dir=moddir, jobs=1, warm_pool=False)
     events = []
-    with supervised_daemon(
-        config,
-        on_event=lambda event, info: events.append(event),
-    ) as supervisor:
+    stopped = threading.Event()
+
+    def on_event(event, info):
+        events.append((event, info))
+        if event == "stopped":
+            stopped.set()
+
+    with supervised_daemon(config, on_event=on_event) as supervisor:
         with ServeClient.wait_ready(socket_path=config.socket_path) as c:
             assert c.shutdown()["ok"]
-        process = supervisor.process
-        process.join(60)
-        assert process.exitcode == 0
-        # Give the supervisor loop a moment to observe the exit; a
-        # graceful stop must not spawn a replacement.
-        time.sleep(0.3)
+        # The supervisor thread is the one joining the child, so the
+        # exit code is read from its "stopped" event: a second join()
+        # here would race it for the child's status.
+        assert stopped.wait(60)
         assert supervisor.restarts == 0
-    assert "restarting" not in events
+    assert [info["exitcode"] for event, info in events if event == "stopped"] == [0]
+    assert "restarting" not in [event for event, _ in events]
 
 
 def test_supervisor_gives_up_past_max_restarts(tmp_path):

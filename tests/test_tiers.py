@@ -581,6 +581,24 @@ class TestDecodeMemo:
         assert c["speccache.decode_misses"] == 2
         assert "speccache.decode_hits" not in c
 
+    def test_promotion_releases_the_decoded_residual(self, gp, tmp_path):
+        from repro.speccache import _DECODE_MEMO
+
+        options = SpecOptions(
+            cache_dir=str(tmp_path), tier_policy=TierPolicy(hot_after=2)
+        )
+        obs = Obs()
+        ladder = TierLadder(gp, options=options, obs=obs)
+        assert ladder.call("power", {"n": 3}, (2,)).tier == 1
+        # The promoting call decodes the cached payload, then compiles
+        # it: the decoded program must not stay pinned in the memo.
+        assert ladder.call("power", {"n": 3}, (2,)).tier == 2
+        assert _counters(obs)["speccache.decode_misses"] == 1
+        assert len(_DECODE_MEMO) == 0
+        for x, want in ((2, 8), (5, 125)):
+            run = ladder.call("power", {"n": 3}, (x,))
+            assert (run.tier, run.origin, run.value) == (2, "memo", want)
+
 
 class TestRtcgLruMetrics:
     def test_evictions_counted_and_length_gauged(self, gp):
