@@ -7,6 +7,12 @@ with CPython and executed in its own namespace; ``_link`` hooks then wire
 cross-module ``mk_f`` references through a global registry.  Only the
 *generated* modules are needed — never the source of the modules they
 came from, which is the paper's black-box property for libraries.
+
+A :class:`LoadedModule` may be shared by several programs: the build's
+relink (:meth:`repro.pipeline.build.BuildResult.link`) reuses an
+executed namespace when ``_link`` would bind it to the very functions it
+already holds.  A namespace is therefore never rebound to a different
+function once linked, and every program keeps specialising what it did.
 """
 
 import hashlib

@@ -118,6 +118,11 @@ WELL_KNOWN_COUNTERS = frozenset(
         # a bug worth looking at, so they are counted separately and the
         # first per module is reported on the event bus.
         "incr.fallback_errors",
+        # BuildResult.link (docs/pipeline.md): modules whose memoised
+        # namespace was reused as it was, and modules the link executed
+        # (new or changed source, or a function they import moved).
+        "link.modules_reused",
+        "link.modules_executed",
         # Execution-ladder artifacts whose marshalled code object could
         # not be decoded or exec'd (version skew, corruption): the run
         # falls back a tier, but the miss is counted, not silent.

@@ -42,7 +42,7 @@ import hashlib
 import marshal
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bt.analysis import analyse_module
@@ -62,7 +62,7 @@ from repro.genext.cogen import (
     assemble_module,
     cogen_fragments,
 )
-from repro.genext.link import GenextProgram, load_genext
+from repro.genext.link import GenextProgram, LoadedModule, load_genext
 from repro.lang.errors import LangError, ValidationError
 from repro.lang.parser import parse_program
 from repro.lang.validate import resolve_module
@@ -131,6 +131,46 @@ def _parse_source(text):
         program = parse_program(text)
         _SCAN_MEMO.put(digest, program)
     return program
+
+
+# Linking is the cheap step of the paper's pipeline (Sec. 6), so a
+# relink should execute only the modules whose code or imported
+# functions moved.  The link memo keeps one slot per module name: the
+# last genext source and imports linked under that name, their code
+# object and the executed namespace.  A later link reuses the namespace
+# only when ``_link`` would rebind it to the very objects it already
+# holds, so no namespace is ever rebound to a different function and a
+# program linked earlier keeps specialising what it did.  Keyed by name,
+# not by cache root: one copy of each module however many caches link it.
+_LINK_MEMO = LruMemo(4096)  # module name -> _LinkSlot
+
+
+@dataclass(frozen=True)
+class _LinkSlot:
+    """The last link of one module.  ``loaded`` is ``None`` only while
+    a link is building the slot; ``published`` is the ``(cache root,
+    key)`` its code artifact was last written under, if any."""
+
+    source: str
+    imports: Tuple[str, ...]
+    code: object
+    loaded: Optional[LoadedModule]
+    published: Optional[Tuple[str, str]]
+
+
+def clear_link_memo():
+    """Drop every memoised linked module (test isolation)."""
+    _LINK_MEMO.clear()
+
+
+def _bound_to(loaded, registry):
+    """Whether every function ``loaded`` imports is already bound to the
+    one ``registry`` gives it, i.e. ``_link`` would rebind nothing."""
+    namespace = loaded.namespace
+    for src, py in namespace.get("_IMPORTED", {}).items():
+        if src not in registry or namespace.get(py) is not registry[src]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -235,29 +275,71 @@ class BuildResult:
     def link(self):
         """Compile, execute, and link the generating extensions.
 
-        Code objects are taken from (and published to) the build cache,
-        so a warm link recompiles nothing; without a cache every module
-        is compiled afresh."""
+        A module whose genext source and imports are unchanged since the
+        last link of its name reuses that link's executed namespace when
+        every function it imports is the very one this link gives it
+        (:data:`_LINK_MEMO`); the returned program may therefore share a
+        :class:`~repro.genext.link.LoadedModule` with programs linked
+        earlier.  A module whose imported functions moved re-executes its
+        memoised code object.  Any other module takes its code object
+        from the build cache, or compiles it; without a cache every such
+        module is compiled afresh.  Either way the build cache holds a
+        code artifact for every module when the link returns.
+
+        Counts ``link.modules_reused`` and ``link.modules_executed`` in
+        the build's metrics registry."""
         loaded = []
+        registry = {}  # the exports of the modules linked so far
+        reused = 0
         tracer = self.obs.tracer if self.obs is not None else NULL_TRACER
         with _stage(self.stats, tracer, "link"):
             for m in self.genexts:
-                code = None
+                target = None
                 if self.cache is not None:
-                    data = self.cache.get_bytes(self.keys[m.name], CODE_KIND)
-                    if data is not None:
-                        try:
-                            code = marshal.loads(data)
-                        except (EOFError, ValueError, TypeError):
-                            code = None  # corrupt or foreign: recompile
-                if code is None:
-                    code = compile(m.source, "%s.genext.py" % m.name, "exec")
-                    if self.cache is not None:
-                        self.cache.put_bytes(
-                            self.keys[m.name], CODE_KIND, marshal.dumps(code)
-                        )
-                loaded.append(load_genext(m, code=code))
+                    target = (self.cache.root, self.keys[m.name])
+                slot = _LINK_MEMO.get(m.name)
+                if slot is None or (slot.source, slot.imports) != (
+                    m.source,
+                    m.imports,
+                ):
+                    slot = _LinkSlot(
+                        m.source, m.imports, self._code(m), None, target
+                    )
+                new = slot
+                if slot.loaded is not None and _bound_to(slot.loaded, registry):
+                    reused += 1
+                else:
+                    new = replace(new, loaded=load_genext(m, code=slot.code))
+                if target is not None and new.published != target:
+                    self.cache.put_bytes(
+                        target[1], CODE_KIND, marshal.dumps(new.code)
+                    )
+                    new = replace(new, published=target)
+                if new is not slot:
+                    _LINK_MEMO.put(m.name, new)
+                registry.update(new.loaded.exports)
+                loaded.append(new.loaded)
+            metrics = self.stats.metrics
+            metrics.counter("link.modules_reused").inc(reused)
+            metrics.counter("link.modules_executed").inc(len(loaded) - reused)
         return GenextProgram(loaded)
+
+    def _code(self, m):
+        """The code object of ``m``'s genext source: unmarshalled from
+        the build cache, or compiled and published there."""
+        if self.cache is not None:
+            data = self.cache.get_bytes(self.keys[m.name], CODE_KIND)
+            if data is not None:
+                try:
+                    return marshal.loads(data)
+                except (EOFError, ValueError, TypeError):
+                    pass  # corrupt or foreign: recompile
+        code = compile(m.source, "%s.genext.py" % m.name, "exec")
+        if self.cache is not None:
+            self.cache.put_bytes(
+                self.keys[m.name], CODE_KIND, marshal.dumps(code)
+            )
+        return code
 
 
 class BuildEngine:
@@ -713,10 +795,13 @@ class BuildEngine:
                 )
         if order:
             # Advance the refs so the *next* build can find this one's
-            # per-def records even after an edit changes every key.
+            # per-def records even after an edit changes every key.  A
+            # no-op rebuild moves no key and leaves the file untouched.
             refs = self.cache.read_refs()
-            refs.update({name: keys[name] for name in order})
-            self.cache.write_refs(refs)
+            merged = dict(refs)
+            merged.update({name: keys[name] for name in order})
+            if merged != refs:
+                self.cache.write_refs(merged)
 
         for name in sorted(failures):
             rebuilds[name] = ModuleRebuild(module=name, action="failed")

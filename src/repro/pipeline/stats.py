@@ -32,6 +32,8 @@ Metric names (see ``docs/observability.md`` for the full glossary):
 ``incr.modules_skipped``  counter dep-changed modules saved by cutoff
 ``incr.fallbacks``        counter incremental attempts degraded to full
 ``incr.fallback_errors``  counter fallbacks caused by a raised exception
+``link.modules_reused``   counter modules whose linked namespace was reused
+``link.modules_executed`` counter modules the link executed
 ``faults.retries``        counter re-attempts after error/timeout
 ``faults.timeouts``       counter deadline kills
 ``faults.crashes``        counter broken worker pools

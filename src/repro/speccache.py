@@ -26,7 +26,12 @@ Key anatomy
   ``strategy``, ``monolithic``, and ``max_versions`` (they change what
   the run produces — or whether it fails);  ``fuel``/``timeout``/
   ``sink``/``cache_dir`` do not enter the key (they change how the run
-  is executed or consumed, never its result).
+  is executed or consumed, never its result);
+* the analysis strategy — ``division``, ``unfolding`` and
+  ``max_bt_versions`` — but only when ``division`` or ``unfolding`` is
+  not the default.  These fields arrived after the cache did; keying
+  them conditionally keeps every older key valid, since a
+  default-strategy request hashes exactly the bytes it always did.
 
 Editing one module's source, relinking in a different topology, or
 changing any keyed option therefore forces a miss; everything else is a

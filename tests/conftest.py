@@ -235,14 +235,15 @@ def _fresh_tier_state():
 @pytest.fixture(autouse=True)
 def _fresh_build_memos():
     """The build's process-wide memos (source scan, interface parse,
-    referenced names) start empty in every test."""
+    referenced names, linked modules) start empty in every test."""
     from repro.bt.interface import clear_interface_memo
-    from repro.pipeline.build import clear_scan_memo
+    from repro.pipeline.build import clear_link_memo, clear_scan_memo
     from repro.pipeline.incremental import clear_referenced_names_memo
 
     clear_scan_memo()
     clear_interface_memo()
     clear_referenced_names_memo()
+    clear_link_memo()
 
 
 @pytest.fixture(autouse=True)

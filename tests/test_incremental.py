@@ -629,3 +629,251 @@ def test_lru_memo_stays_bounded_and_consistent_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(memo) == 8
+
+
+# ---------------------------------------------------------------------------
+# The link memo: a relink pays per changed module.
+# ---------------------------------------------------------------------------
+
+
+def _link_counts(result):
+    """``(reused, executed)`` as the link counted them."""
+    metrics = result.stats.metrics
+    return (
+        metrics.counter("link.modules_reused").value,
+        metrics.counter("link.modules_executed").value,
+    )
+
+
+def _residual(gp, goal, static):
+    from repro.genext.engine import specialise
+    from repro.lang.pretty import pretty_program
+
+    return pretty_program(specialise(gp, goal, static).program)
+
+
+def _cold_residual(result, goal, static):
+    """The residual of a link that shares nothing with any other."""
+    from repro.genext.link import link_genexts
+
+    return _residual(link_genexts(result.genexts), goal, static)
+
+
+def _recording_build_globals(monkeypatch):
+    """Record what ``BuildResult.link`` unmarshals and compiles, through
+    the build module's own ``marshal`` and ``compile`` globals."""
+    import marshal
+    import types
+
+    from repro.pipeline import build
+
+    unmarshalled, compiled = [], []
+
+    def loads(data):
+        unmarshalled.append(data)
+        return marshal.loads(data)
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(
+        build, "marshal", types.SimpleNamespace(loads=loads, dumps=marshal.dumps)
+    )
+    monkeypatch.setattr(build, "compile", counting_compile, raising=False)
+    return unmarshalled, compiled
+
+
+def test_relink_executes_only_modules_whose_code_or_imports_moved(
+    tmp_path, monkeypatch
+):
+    sources = _chain(60)
+    _write_all(tmp_path, sources)
+    options = BuildOptions(cache_dir=str(tmp_path / "cache"))
+    cold = build_dir(str(tmp_path), options)
+    cold.link()
+    assert _link_counts(cold) == (0, 60)
+    unmarshalled, compiled = _recording_build_globals(monkeypatch)
+
+    noop = build_dir(str(tmp_path), options)
+    noop.link()
+    assert _link_counts(noop) == (60, 0)
+    assert (unmarshalled, compiled) == ([], [])
+
+    _write(tmp_path, "M59", sources["M59"].replace("x * 2", "x * 5"))
+    top = build_dir(str(tmp_path), options)
+    gp = top.link()
+    assert _link_counts(top) == (59, 1)
+    assert (unmarshalled, compiled) == ([], ["M59.genext.py"])
+    assert _residual(gp, "m59_f1", {"n": 2}) == _cold_residual(
+        top, "m59_f1", {"n": 2}
+    )
+
+    # An edit at the bottom moves every function above it: all 60
+    # modules execute again, 59 of them from their memoised code.
+    compiled.clear()
+    _write(tmp_path, "M0", sources["M0"].replace("(x + 1)", "(x + 5)"))
+    bottom = build_dir(str(tmp_path), options)
+    gp = bottom.link()
+    assert _link_counts(bottom) == (0, 60)
+    assert (unmarshalled, compiled) == ([], ["M0.genext.py"])
+    assert _residual(gp, "m59_f0", {"n": 61}) == _cold_residual(
+        bottom, "m59_f0", {"n": 61}
+    )
+
+    # Reverting the edit finds the old code artifact: one unmarshal.
+    compiled.clear()
+    _write(tmp_path, "M0", sources["M0"])
+    reverted = build_dir(str(tmp_path), options)
+    reverted.link()
+    assert _link_counts(reverted) == (0, 60)
+    assert (len(unmarshalled), compiled) == (1, [])
+
+
+_DIAMOND = {
+    "A": "module A where\n\na n x = if n == 0 then x else a (n - 1) (x * 2)\n",
+    "B": "module B where\nimport A\n\nb n x = a n (x + 1)\n",
+    "S": "module S where\n\ns n x = if n == 0 then x else s (n - 1) (x + 3)\n",
+    "T": "module T where\nimport S\n\nt n x = s n (x + 4)\n",
+    "Top": "module Top where\nimport B\nimport T\n\ntop n x = b n (t n x)\n",
+}
+
+
+def test_relink_never_rebinds_a_namespace_an_earlier_program_holds(tmp_path):
+    _write_all(tmp_path, _DIAMOND)
+    options = BuildOptions(cache_dir=str(tmp_path / "cache"))
+    first = build_dir(str(tmp_path), options)
+    p1 = first.link()
+    before = _residual(p1, "top", {"n": 2})
+    assert before == _cold_residual(first, "top", {"n": 2})
+
+    _write(tmp_path, "A", _DIAMOND["A"].replace("x * 2", "x * 7"))
+    second = build_dir(str(tmp_path), options)
+    p2 = second.link()
+    assert _link_counts(second) == (2, 3)
+    after = _residual(p2, "top", {"n": 2})
+    assert after == _cold_residual(second, "top", {"n": 2})
+    assert after != before
+    assert _residual(p1, "top", {"n": 2}) == before
+
+    shared = sorted(n for n in p2.modules if p2.modules[n] is p1.modules[n])
+    assert shared == ["S", "T"]
+    for name in shared:
+        namespace = p2.modules[name].namespace
+        for src, py in namespace["_IMPORTED"].items():
+            assert namespace[py] is p1.registry[src]
+            assert namespace[py] is p2.registry[src]
+    # The modules that executed again left P1's namespaces bound to P1.
+    for program in (p1, p2):
+        for name in ("B", "Top"):
+            namespace = program.modules[name].namespace
+            for src, py in namespace["_IMPORTED"].items():
+                assert namespace[py] is program.registry[src]
+
+
+def test_relink_into_another_cache_publishes_every_code_artifact(tmp_path):
+    import marshal
+    import types
+
+    from repro.pipeline.cache import CODE_KIND
+
+    sources = _chain(6)
+    src = tmp_path / "src"
+    src.mkdir()
+    _write_all(src, sources)
+    build_dir(str(src), BuildOptions(cache_dir=str(tmp_path / "c1"))).link()
+
+    second = build_dir(str(src), BuildOptions(cache_dir=str(tmp_path / "c2")))
+    second.link()
+    assert _link_counts(second) == (6, 0)
+    store = ArtifactCache(str(tmp_path / "c2"))
+    for name in sources:
+        data = store.get_bytes(second.keys[name], CODE_KIND)
+        assert isinstance(marshal.loads(data), types.CodeType)
+
+    # A comment moves M2's key but not its genext source: the reused
+    # module's code is published under the new key too.
+    _write(src, "M2", "-- a comment\n" + sources["M2"])
+    third = build_dir(str(src), BuildOptions(cache_dir=str(tmp_path / "c2")))
+    third.link()
+    assert third.keys["M2"] != second.keys["M2"]
+    assert _link_counts(third) == (6, 0)
+    assert store.has(third.keys["M2"], CODE_KIND)
+
+
+def test_relink_recompiles_a_corrupt_code_artifact_of_an_edited_module(
+    tmp_path, monkeypatch
+):
+    import marshal
+
+    from repro.pipeline.cache import CODE_KIND
+
+    sources = _chain(4)
+    _write_all(tmp_path, sources)
+    options = BuildOptions(cache_dir=str(tmp_path / "cache"))
+    build_dir(str(tmp_path), options).link()
+    edited = sources["M1"].replace("x * 2", "x * 3")
+    _write(tmp_path, "M1", edited)
+    build_dir(str(tmp_path), options).link()
+    _write(tmp_path, "M1", sources["M1"])
+    result = build_dir(str(tmp_path), options)
+    store = ArtifactCache(str(tmp_path / "cache"))
+    store.put_bytes(result.keys["M1"], CODE_KIND, b"\x00garbage")
+
+    unmarshalled, compiled = _recording_build_globals(monkeypatch)
+    gp = result.link()
+    assert len(unmarshalled) == 1  # the corrupt artifact, rejected
+    assert compiled == ["M1.genext.py"]
+    code = marshal.loads(store.get_bytes(result.keys["M1"], CODE_KIND))
+    assert code.co_filename == "M1.genext.py"
+    assert _residual(gp, "m3_f0", {"n": 5}) == _cold_residual(
+        result, "m3_f0", {"n": 5}
+    )
+
+
+def test_threads_relinking_two_edit_states_match_a_cold_link(tmp_path):
+    import sys
+    import threading
+
+    sources = _chain(8)
+    states = []
+    for index, step in enumerate(("(x + 1)", "(x + 4)")):
+        src = tmp_path / ("src%d" % index)
+        src.mkdir()
+        _write_all(src, dict(sources, M0=sources["M0"].replace("(x + 1)", step)))
+        result = build_dir(
+            str(src), BuildOptions(cache_dir=str(tmp_path / ("c%d" % index)))
+        )
+        states.append((result, _cold_residual(result, "m7_f0", {"n": 9})))
+    assert states[0][1] != states[1][1]
+    programs, errors = [], []
+
+    def relink(first):
+        try:
+            for i in range(12):
+                result, want = states[(first + i) % 2]
+                gp = result.link()
+                got = _residual(gp, "m7_f0", {"n": 9})
+                if got != want:
+                    errors.append((first, i))
+                programs.append((gp, want))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=relink, args=(n % 2,)) for n in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # No later link rebound a namespace an earlier program holds.
+    for gp, want in programs:
+        assert _residual(gp, "m7_f0", {"n": 9}) == want

@@ -287,3 +287,20 @@ def test_scan_memo_hit_still_checks_the_file_name(tmp_path):
     assert list(failures) == ["Other"]
     assert failures["Other"].error_class == "ValidationError"
     assert "file name must match" in failures["Other"].message
+
+
+def test_noop_rebuild_leaves_refs_untouched(tmp_path):
+    _write(tmp_path, "Power", POWER)
+    cache = str(tmp_path / "cache")
+    first = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    refs = os.path.join(cache, "refs.json")
+    before = os.stat(refs)
+    again = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert again.cached == ["Power"]
+    after = os.stat(refs)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    _write(tmp_path, "Power", POWER + "\nsquare x = x * x\n")
+    edited = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    assert edited.keys["Power"] != first.keys["Power"]
+    assert ArtifactCache(cache).read_refs() == {"Power": edited.keys["Power"]}
