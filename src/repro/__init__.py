@@ -30,7 +30,7 @@ programs), :mod:`repro.genext` (cogen, runtime, linker, engine),
 :mod:`repro.interp` (the object-language interpreter).
 """
 
-from repro.api import BuildOptions, LegacyOptionsWarning, SpecOptions
+from repro.api import BuildOptions, SpecOptions
 from repro.bt.analysis import analyse_program
 from repro.genext.batch import BatchResult, specialise_many
 from repro.genext.cogen import cogen_program
@@ -48,7 +48,6 @@ __all__ = [
     "BatchResult",
     "BuildEngine",
     "BuildOptions",
-    "LegacyOptionsWarning",
     "LinkedProgram",
     "Obs",
     "SpecOptions",
@@ -71,27 +70,24 @@ __all__ = [
 ]
 
 
-def compile_genexts(source, options=None, **legacy):
+def compile_genexts(source, options=None):
     """Front-to-back convenience: parse, analyse, cogen, and link.
 
     ``source`` is either program text or an already linked
     :class:`~repro.modsys.program.LinkedProgram`.  ``options`` is a
     :class:`repro.api.SpecOptions`; its ``force_residual`` set names
     definitions to annotate non-unfoldable (the paper hand-annotates its
-    Sec. 5 examples this way).  The legacy ``force_residual=...``
-    keyword still works, with a deprecation warning.  Returns a linked
+    Sec. 5 examples this way).  Returns a linked
     :class:`~repro.genext.link.GenextProgram` ready for
     :func:`specialise`.
     """
     from repro.api import spec_options
 
-    options = spec_options("compile_genexts", options, legacy)
+    options = spec_options("compile_genexts", options)
     linked = source if isinstance(source, LinkedProgram) else load_program(source)
     analysis = analyse_program(
         linked,
         force_residual=options.force_residual,
-        division=options.division,
         unfolding=options.unfolding,
-        max_bt_versions=options.max_bt_versions,
     )
     return link_genexts(cogen_program(analysis))

@@ -14,16 +14,12 @@ re-declaring ten keywords:
     result = repro.build_dir(src, BuildOptions(jobs=4, keep_going=True))
     spec = repro.specialise(gp, "power", {"n": 3}, SpecOptions(strategy="dfs"))
 
-Backwards compatibility: the old keyword signatures still work —
-``build_dir(src, jobs=4)`` — but emit one :class:`DeprecationWarning`
-per entry point (not one per call) through :func:`warn_legacy`.  The
-test suite runs with ``-W error::DeprecationWarning``, so no in-tree
-caller uses the legacy spellings.
+An entry point accepts only an options object: a keyword such as
+``build_dir(src, jobs=4)`` is a plain :class:`TypeError`.
 """
 
 import sys
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, FrozenSet, Optional
 
 from repro.pipeline.faults import FaultPolicy
@@ -34,10 +30,8 @@ __all__ = [
     "SpecOptions",
     "ModuleRebuild",
     "RebuildReport",
-    "LegacyOptionsWarning",
     "build_options",
     "spec_options",
-    "warn_legacy",
 ]
 
 # Frozen everywhere; keyword-only where the interpreter supports it
@@ -46,10 +40,6 @@ __all__ = [
 _DC_KW = {"frozen": True}
 if sys.version_info >= (3, 10):
     _DC_KW["kw_only"] = True
-
-
-class LegacyOptionsWarning(DeprecationWarning):
-    """Legacy keyword options were used instead of an options object."""
 
 
 @dataclass(**_DC_KW)
@@ -114,10 +104,8 @@ class SpecOptions:
     bounds the specialisation run's wall clock; ``max_versions`` bounds
     its polyvariance.  ``force_residual`` is consumed by the analysis
     front ends (:func:`repro.compile_genexts`,
-    :func:`repro.specialiser.mix_specialise`), as are the analysis
-    strategies ``division`` (``"mono"``/``"poly"``, with
-    ``max_bt_versions`` capping the per-definition binding-time
-    versions) and ``unfolding`` (``"lub"``/``"size-change"``) — see
+    :func:`repro.specialiser.mix_specialise`), as is the analysis
+    strategy ``unfolding`` (``"lub"``/``"size-change"``) — see
     ``docs/analyses.md``.
 
     ``cache_dir`` enables the persistent residual cache
@@ -143,34 +131,20 @@ class SpecOptions:
     max_versions: Optional[int] = 10_000
     cache_dir: Optional[str] = None
     tier_policy: Optional[Any] = None
-    # Analysis strategies (docs/analyses.md).  ``division="poly"``
-    # clones definitions into per-pattern binding-time versions
-    # (bounded by ``max_bt_versions``); ``unfolding="size-change"``
+    # Analysis strategy (docs/analyses.md): ``unfolding="size-change"``
     # unfolds provably decreasing recursion instead of residualising
-    # it.  The defaults reproduce the paper's behaviour exactly.
-    division: str = "mono"
+    # it.  The default reproduces the paper's behaviour exactly.
     unfolding: str = "lub"
-    max_bt_versions: int = 8
 
     def __post_init__(self):
         if self.strategy not in ("bfs", "dfs"):
             raise ValueError(
                 "strategy must be 'bfs' or 'dfs', got %r" % (self.strategy,)
             )
-        if self.division not in ("mono", "poly"):
-            raise ValueError(
-                "division must be 'mono' or 'poly', got %r"
-                % (self.division,)
-            )
         if self.unfolding not in ("lub", "size-change"):
             raise ValueError(
                 "unfolding must be 'lub' or 'size-change', got %r"
                 % (self.unfolding,)
-            )
-        if self.max_bt_versions < 0:
-            raise ValueError(
-                "max_bt_versions must be >= 0, got %d"
-                % (self.max_bt_versions,)
             )
         if not isinstance(self.force_residual, frozenset):
             object.__setattr__(
@@ -192,59 +166,11 @@ class SpecOptions:
 
 
 # ---------------------------------------------------------------------------
-# The deprecation shim.
+# Resolving an entry point's ``options`` argument.
 # ---------------------------------------------------------------------------
 
-_warned_apis = set()
 
-
-def warn_legacy(api_name, legacy_keys):
-    """Emit the once-per-entry-point deprecation warning."""
-    if api_name in _warned_apis:
-        return
-    _warned_apis.add(api_name)
-    warnings.warn(
-        "%s(%s=...) keyword options are deprecated; pass a single "
-        "repro.api.%s instead (e.g. %s(..., %s(%s=...)))"
-        % (
-            api_name,
-            "/".join(sorted(legacy_keys)),
-            "BuildOptions" if api_name in _BUILD_APIS else "SpecOptions",
-            api_name,
-            "BuildOptions" if api_name in _BUILD_APIS else "SpecOptions",
-            sorted(legacy_keys)[0],
-        ),
-        LegacyOptionsWarning,
-        stacklevel=4,
-    )
-
-
-def _reset_legacy_warnings():
-    """Test hook: make the next legacy call warn again."""
-    _warned_apis.clear()
-
-
-_BUILD_APIS = frozenset(["build_dir", "BuildEngine"])
-
-_BUILD_FIELDS = frozenset(f.name for f in fields(BuildOptions))
-_SPEC_FIELDS = frozenset(f.name for f in fields(SpecOptions))
-
-
-def _coerce(api_name, options, legacy, cls, allowed):
-    if legacy:
-        unknown = set(legacy) - allowed
-        if unknown:
-            raise TypeError(
-                "%s() got unexpected keyword argument(s): %s"
-                % (api_name, ", ".join(sorted(unknown)))
-            )
-        if options is not None:
-            raise TypeError(
-                "%s() takes either an options object or legacy keywords, "
-                "not both" % api_name
-            )
-        warn_legacy(api_name, legacy)
-        return cls(**legacy)
+def _coerce(api_name, options, cls):
     if options is None:
         return cls()
     if not isinstance(options, cls):
@@ -255,11 +181,11 @@ def _coerce(api_name, options, legacy, cls, allowed):
     return options
 
 
-def build_options(api_name, options, legacy):
-    """Resolve ``(options, **legacy)`` to one :class:`BuildOptions`."""
-    return _coerce(api_name, options, legacy, BuildOptions, _BUILD_FIELDS)
+def build_options(api_name, options):
+    """``options`` as a :class:`BuildOptions` (``None`` = the defaults)."""
+    return _coerce(api_name, options, BuildOptions)
 
 
-def spec_options(api_name, options, legacy):
-    """Resolve ``(options, **legacy)`` to one :class:`SpecOptions`."""
-    return _coerce(api_name, options, legacy, SpecOptions, _SPEC_FIELDS)
+def spec_options(api_name, options):
+    """``options`` as a :class:`SpecOptions` (``None`` = the defaults)."""
+    return _coerce(api_name, options, SpecOptions)

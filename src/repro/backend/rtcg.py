@@ -86,7 +86,7 @@ def lru_len():
         return len(_LRU)
 
 
-def generate(gp, goal, static_args=None, options=None, obs=None, **legacy):
+def generate(gp, goal, static_args=None, options=None, obs=None):
     """Specialise and compile in one step.
 
     >>> import repro
@@ -103,7 +103,7 @@ def generate(gp, goal, static_args=None, options=None, obs=None, **legacy):
     from repro.api import spec_options
     from repro.obs import Obs
 
-    options = spec_options("generate", options, legacy)
+    options = spec_options("generate", options)
     if obs is None:
         obs = Obs()
     static_args = dict(static_args or {})

@@ -509,7 +509,7 @@ class TierLadder:
         from repro.obs import Obs
 
         self.gp = gp
-        self.options = spec_options("TierLadder", options, {})
+        self.options = spec_options("TierLadder", options)
         self.policy = self.options.tier_policy or DEFAULT_TIER_POLICY
         self.obs = obs if obs is not None else Obs()
         self.program = program

@@ -133,12 +133,12 @@ def library_lookup_program(n_tables, n_cells, seed=0):
 
 
 def dual_pattern_program(n_funcs, seed=0):
-    """E4-family scenario for polyvariant division: each library loop is
-    called at two ground binding-time patterns — ``(S, D)`` (static
-    count, dynamic seed, recursion unfolds) and ``(D, D)`` (fully
-    dynamic, recursion residualises) — so a monovariant division must
-    lub the two while ``division="poly"`` clones per-pattern generating
-    extensions.  Returns ``(source, goal, static_args, dyn_params)``."""
+    """E4-family scenario with two binding-time patterns per library
+    loop: each is called at ``(S, D)`` (static count, dynamic seed,
+    recursion unfolds) and at ``(D, D)`` (fully dynamic, recursion
+    residualises).  Each definition's binding-time scheme is polymorphic,
+    so every call site is specialised at its own pattern: nothing is
+    lubbed.  Returns ``(source, goal, static_args, dyn_params)``."""
     rng = random.Random(seed)
     lines = ["module Lib where", ""]
     for k in range(n_funcs):

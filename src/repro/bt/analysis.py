@@ -20,21 +20,13 @@ binding times of all conditionals in its body, and flows into the top of
 the result type (a residualised function yields a dynamic result) — the
 paper's conservative Similix-style strategy.
 
-Two optional strategy upgrades (``repro.api.SpecOptions``) sit on top:
-
-* ``unfolding="size-change"`` replaces the Similix unfold rule for the
-  recursive components where :mod:`repro.bt.sizechange` proves that
-  unfolding quasi-terminates: the unfold flag becomes the lub of the
-  *proof's required parameters* instead of the body's conditionals, so
-  a provably decreasing loop over a static structure unfolds even under
-  dynamic control.
-* ``division="poly"`` adds a polyvariant binding-time division: each
-  definition is additionally cloned into per-pattern *binding-time
-  versions* (:class:`BTVersion`) — one per consistent ground valuation
-  of its scheme's inputs, capped by ``max_bt_versions`` — with every
-  annotation pre-evaluated.  The base symbolic definition remains the
-  single source of truth; versions are derived views the cogen compiles
-  into constant-propagated generating extensions.
+One optional strategy upgrade (``repro.api.SpecOptions``) sits on top:
+``unfolding="size-change"`` replaces the Similix unfold rule for the
+recursive components where :mod:`repro.bt.sizechange` proves that
+unfolding quasi-terminates.  The unfold flag becomes the lub of the
+*proof's required parameters* instead of the body's conditionals, so a
+provably decreasing loop over a static structure unfolds even under
+dynamic control.
 """
 
 from dataclasses import dataclass, field
@@ -70,30 +62,15 @@ from repro.bt.graph import ConstraintGraph
 from repro.bt.scheme import (
     BTScheme,
     Canonicaliser,
-    ground_patterns,
     input_name,
     instantiate,
-    pattern_str,
 )
 from repro.bt.sizechange import sct_unfold_params
 from repro.types.infer import module_def_sccs
 
 _MAX_FIXPOINT_ITERATIONS = 50
 
-DIVISIONS = ("mono", "poly")
 UNFOLDINGS = ("lub", "size-change")
-DEFAULT_MAX_BT_VERSIONS = 8
-
-
-def _check_strategies(division, unfolding):
-    if division not in DIVISIONS:
-        raise ValueError(
-            "division must be one of %r, got %r" % (DIVISIONS, division)
-        )
-    if unfolding not in UNFOLDINGS:
-        raise ValueError(
-            "unfolding must be one of %r, got %r" % (UNFOLDINGS, unfolding)
-        )
 
 _ARITH = ("+", "-", "*", "div", "mod")
 _CMP = ("==", "<", "<=")
@@ -128,73 +105,6 @@ class DefAnalysis:
     annotated: ADef
 
 
-@dataclass(frozen=True)
-class BTVersion:
-    """One binding-time version of a definition (polyvariant division).
-
-    ``pattern`` is a ground valuation of the base definition's
-    binding-time parameters (aligned with ``adef.bt_params``);
-    ``unfold`` is the base unfold annotation evaluated under it.  The
-    version's annotated body is derivable on demand via
-    :func:`ground_adef` — versions carry no duplicated syntax."""
-
-    base: str
-    index: int
-    pattern: Tuple[btmod.BT, ...]
-    unfold: btmod.BT
-
-    @property
-    def name(self):
-        return "%s__btv%d" % (self.base, self.index)
-
-    @property
-    def pattern_str(self):
-        return pattern_str(self.pattern)
-
-    def env(self, bt_params):
-        return dict(zip(bt_params, self.pattern))
-
-
-def ground_versions(adef, scheme, cap):
-    """The binding-time versions of one analysed definition: one per
-    consistent ground pattern of its scheme, capped at ``cap``.  A
-    definition with fewer than two patterns gets none (a single version
-    would duplicate the base for no dispatch win)."""
-    patterns = ground_patterns(scheme, cap)
-    if len(patterns) < 2:
-        return ()
-    versions = []
-    for i, pattern in enumerate(patterns):
-        env = dict(zip(adef.bt_params, pattern))
-        versions.append(
-            BTVersion(
-                base=adef.name,
-                index=i,
-                pattern=pattern,
-                unfold=btmod.evaluate(adef.unfold, env),
-            )
-        )
-    return tuple(versions)
-
-
-def ground_adef(adef, env):
-    """``adef`` with every symbolic annotation evaluated under ``env``
-    (a ground valuation of its binding-time parameters) — the
-    materialised form of one :class:`BTVersion`, used by the lint's
-    per-version well-annotatedness pass."""
-    final_bt = lambda b: btmod.evaluate(b, env)
-    final_type = lambda t: map_bts(t, final_bt)
-    return ADef(
-        name=adef.name,
-        bt_params=adef.bt_params,
-        params=adef.params,
-        body=_final_expr(adef.body, final_bt, final_type),
-        unfold=final_bt(adef.unfold),
-        param_types=tuple(final_type(t) for t in adef.param_types),
-        res_type=final_type(adef.res_type),
-    )
-
-
 @dataclass
 class ModuleAnalysis:
     """The result of analysing one module: its binding-time interface
@@ -209,9 +119,6 @@ class ModuleAnalysis:
     schemes: Dict[str, BTScheme]
     annotated: AModule
     deps: Dict[str, frozenset] = field(default_factory=dict)
-    # Polyvariant division only: def name -> its binding-time versions
-    # (empty under the default monovariant division).
-    versions: Dict[str, Tuple[BTVersion, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -666,18 +573,20 @@ def analyse_scc(by_name, group, env, force_residual=frozenset(),
 
 
 def analyse_module(module, imported_schemes, force_residual=frozenset(),
-                   division="mono", unfolding="lub",
-                   max_bt_versions=DEFAULT_MAX_BT_VERSIONS):
+                   unfolding="lub"):
     """Analyse one module given its imports' binding-time interfaces.
 
     ``imported_schemes`` maps function names to :class:`BTScheme`;
     ``force_residual`` names definitions to annotate non-unfoldable
     regardless of their conditionals (the paper hand-annotates its
-    Sec. 5 examples this way).  ``division``/``unfolding`` pick the
-    analysis strategies (see the module docstring); the defaults
-    reproduce the paper's behaviour exactly.
+    Sec. 5 examples this way).  ``unfolding`` picks the analysis
+    strategy (see the module docstring); the default reproduces the
+    paper's behaviour exactly.
     """
-    _check_strategies(division, unfolding)
+    if unfolding not in UNFOLDINGS:
+        raise ValueError(
+            "unfolding must be one of %r, got %r" % (UNFOLDINGS, unfolding)
+        )
     env = dict(imported_schemes)
     schemes = {}
     annotated = {}
@@ -696,22 +605,10 @@ def analyse_module(module, imported_schemes, force_residual=frozenset(),
         module.imports,
         tuple(annotated[d.name] for d in module.defs),
     )
-    versions = {}
-    if division == "poly":
-        for d in module.defs:
-            vs = ground_versions(
-                annotated[d.name], schemes[d.name], max_bt_versions
-            )
-            if vs:
-                versions[d.name] = vs
-    return ModuleAnalysis(
-        module.name, schemes, amodule, deps, versions=versions
-    )
+    return ModuleAnalysis(module.name, schemes, amodule, deps)
 
 
-def analyse_program(linked, force_residual=frozenset(), division="mono",
-                    unfolding="lub",
-                    max_bt_versions=DEFAULT_MAX_BT_VERSIONS):
+def analyse_program(linked, force_residual=frozenset(), unfolding="lub"):
     """Analyse every module of ``linked`` in topological order.
 
     This mirrors the paper's workflow: each module is analysed once,
@@ -730,9 +627,7 @@ def analyse_program(linked, force_residual=frozenset(), division="mono",
             # the language's import relation is non-transitive, matching
             # the source-level name resolution.
         analysis = analyse_module(
-            module, visible, force_residual,
-            division=division, unfolding=unfolding,
-            max_bt_versions=max_bt_versions,
+            module, visible, force_residual, unfolding=unfolding
         )
         results[module_name] = analysis
     for m in linked.program.modules:

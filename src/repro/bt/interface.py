@@ -137,29 +137,7 @@ def scheme_digest(scheme):
     return h.hexdigest()
 
 
-_VERSION_DIGEST_SALT = b"mspec-version-digest\x00"
-
-_PATTERN_CHARS = frozenset("SD")
-
-
-def version_digest(scheme, pattern):
-    """SHA-256 hex digest of one binding-time version of a scheme.
-
-    ``pattern`` is the version's ground input pattern as a string of
-    ``S``/``D`` characters (see :func:`repro.bt.scheme.pattern_str`).
-    The digest covers the base scheme's digest plus the pattern, so it
-    changes exactly when either does — the per-version analogue of
-    :func:`scheme_digest` used by the polyvariant division's interface
-    entries."""
-    h = hashlib.sha256(_VERSION_DIGEST_SALT)
-    h.update(scheme_digest(scheme).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(pattern.encode("utf-8"))
-    return h.hexdigest()
-
-
-def interface_text(module_name, schemes, format=FORMAT_VERSION,
-                   versions=None):
+def interface_text(module_name, schemes, format=FORMAT_VERSION):
     """The canonical on-disk serialisation of one interface.
 
     Deterministic for a given ``(module_name, schemes, format)``: two
@@ -168,12 +146,6 @@ def interface_text(module_name, schemes, format=FORMAT_VERSION,
     fingerprint.  Format 2 (the default) carries a per-definition
     scheme digest table; pass ``format=1`` to reproduce the legacy
     serialisation (used by the canonicality checker on old files).
-
-    ``versions`` (``{def_name: (pattern_str, ...)}``) records a
-    polyvariant division's binding-time versions, one digest per
-    version.  The table is emitted only when non-empty and only at
-    format 2 — a monovariant analysis produces byte-identical files
-    with or without this parameter, and v1 files cannot carry it.
     """
     if format not in SUPPORTED_FORMATS:
         raise InterfaceError("cannot serialise interface format %r" % (format,))
@@ -186,20 +158,6 @@ def interface_text(module_name, schemes, format=FORMAT_VERSION,
         payload["digests"] = {
             name: scheme_digest(s) for name, s in schemes.items()
         }
-        vtable = {}
-        for name, patterns in (versions or {}).items():
-            if name not in schemes:
-                raise InterfaceError(
-                    "versions table names %r but no such scheme is exported"
-                    % (name,)
-                )
-            if patterns:
-                vtable[name] = [
-                    {"pattern": p, "digest": version_digest(schemes[name], p)}
-                    for p in patterns
-                ]
-        if vtable:
-            payload["versions"] = vtable
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
@@ -222,25 +180,11 @@ def atomic_write_text(path, text):
         raise
 
 
-def analysis_versions(manalysis):
-    """The ``versions`` mapping of one
-    :class:`~repro.bt.analysis.ModuleAnalysis` in the form
-    :func:`interface_text` takes (``{def_name: (pattern_str, ...)}``).
-    Empty for a monovariant analysis, so passing the result through
-    unconditionally never changes a default interface file."""
-    table = getattr(manalysis, "versions", None) or {}
-    return {
-        name: tuple(v.pattern_str for v in vs)
-        for name, vs in table.items()
-        if vs
-    }
-
-
-def write_interface(path, module_name, schemes, versions=None):
+def write_interface(path, module_name, schemes):
     """Write one module's binding-time interface file (atomically).
 
     Returns the serialised text."""
-    text = interface_text(module_name, schemes, versions=versions)
+    text = interface_text(module_name, schemes)
     atomic_write_text(path, text)
     return text
 
@@ -253,13 +197,7 @@ class Interface:
     so callers never branch on the format.  ``stored_digests`` is the
     digest table as present in the file (``None`` for v1 files), kept
     separate so :meth:`InterfaceStore.verify` can detect skew between
-    the table and the schemes it claims to describe.
-
-    ``versions`` is the polyvariant binding-time version table when the
-    file carries one: ``{def_name: ((pattern, digest), ...)}``, in file
-    order.  ``None`` for v1 files and for v2 files of monovariant
-    analyses — absence means "no versions", so the common case costs
-    nothing."""
+    the table and the schemes it claims to describe."""
 
     module: str
     schemes: Dict[str, BTScheme]
@@ -267,18 +205,10 @@ class Interface:
     stored_digests: Optional[Dict[str, str]]
     format: int
     text: str
-    versions: Optional[Dict[str, tuple]] = None
 
     def digest_of_def(self, name):
         """The scheme digest of one exported definition, or ``None``."""
         return self.digests.get(name)
-
-    def versions_of_def(self, name):
-        """The ``(pattern, digest)`` version entries of one definition,
-        or ``()`` when the interface records none."""
-        if self.versions is None:
-            return ()
-        return self.versions.get(name, ())
 
 
 # Parsing an interface re-derives every scheme and its digest, and a
@@ -367,9 +297,6 @@ class InterfaceStore:
                 raise InterfaceError(
                     "%s: missing or malformed 'digests' table" % origin
                 )
-        versions = None
-        if format >= 2 and "versions" in payload:
-            versions = self._parse_versions(payload["versions"], origin)
         # The authoritative digests are always re-derived from the
         # schemes: a stale stored table can then never poison a cache
         # key — it is surfaced as skew by verify() instead.
@@ -381,35 +308,7 @@ class InterfaceStore:
             stored_digests=stored,
             format=format,
             text=text,
-            versions=versions,
         )
-
-    @staticmethod
-    def _parse_versions(vjson, origin):
-        if not isinstance(vjson, dict):
-            raise InterfaceError(
-                "%s: malformed 'versions' table" % origin
-            )
-        versions = {}
-        for name, entries in vjson.items():
-            if not isinstance(name, str) or not isinstance(entries, list):
-                raise InterfaceError(
-                    "%s: malformed 'versions' table" % origin
-                )
-            parsed = []
-            for entry in entries:
-                if (
-                    not isinstance(entry, dict)
-                    or not isinstance(entry.get("pattern"), str)
-                    or not isinstance(entry.get("digest"), str)
-                    or not set(entry["pattern"]) <= _PATTERN_CHARS
-                ):
-                    raise InterfaceError(
-                        "%s: malformed version entry for %r" % (origin, name)
-                    )
-                parsed.append((entry["pattern"], entry["digest"]))
-            versions[name] = tuple(parsed)
-        return versions
 
     def load(self, path):
         """Read and parse one interface file."""
@@ -432,33 +331,9 @@ class InterfaceStore:
         ``def_digest_skew``: a v2 digest table that disagrees with the
         schemes next to it (a hand edit or a torn merge) — distinct
         from a corrupt file, because the schemes themselves parsed."""
-        problems = []
-        for name in sorted(iface.versions or {}):
-            scheme = iface.schemes.get(name)
-            for pattern, stored in iface.versions[name]:
-                if scheme is None:
-                    problems.append(
-                        (
-                            "version_digest_skew",
-                            name,
-                            "versions table names %r but no such scheme is "
-                            "present" % name,
-                        )
-                    )
-                    break
-                derived = version_digest(scheme, pattern)
-                if stored != derived:
-                    problems.append(
-                        (
-                            "version_digest_skew",
-                            name,
-                            "stale digest for %r version %s: table has %s.., "
-                            "scheme derives %s.."
-                            % (name, pattern, stored[:12], derived[:12]),
-                        )
-                    )
         if iface.stored_digests is None:
-            return problems
+            return []
+        problems = []
         for name in sorted(set(iface.stored_digests) | set(iface.digests)):
             stored = iface.stored_digests.get(name)
             derived = iface.digests.get(name)

@@ -16,7 +16,6 @@ scheme's *qualifications* (``{t <= u}`` in the paper's example).
 """
 
 from dataclasses import dataclass
-from itertools import product
 from typing import FrozenSet, Tuple
 
 from repro.bt import bt as btmod
@@ -138,58 +137,6 @@ class BTScheme:
         qual = ("{%s} => " % ", ".join(quals)) if quals else ""
         arrow = " -> ".join(parts + [res]) if parts else res
         return "%s%s%s  [unfold: %s]" % (head, qual, arrow, sol[self.unfold])
-
-
-def ground_patterns(scheme, cap):
-    """The consistent ground valuations of a scheme's inputs.
-
-    Enumerates every assignment of ``S``/``D`` to the scheme's input
-    slots that respects its qualifications — the closure edges between
-    inputs and the slots forced dynamic — in lexicographic order with
-    ``S < D``, stopping after ``cap`` patterns.  These are the
-    binding-time *versions* a polyvariant division clones a definition
-    into: at specialisation time every call supplies exactly one such
-    ground valuation, so a per-pattern clone with its annotations
-    pre-evaluated can answer it.
-
-    Returns a tuple of tuples of concrete :class:`~repro.bt.bt.BT`
-    values, one per input, aligned with :meth:`BTScheme.inputs` (and
-    hence with an annotated definition's ``bt_params``).  Signatures
-    with no inputs, a non-positive ``cap``, or too many inputs to
-    enumerate get the empty tuple."""
-    inputs = scheme.inputs()
-    if not inputs or cap <= 0 or len(inputs) > _MAX_PATTERN_INPUTS:
-        return ()
-    out = []
-    for bits in product((False, True), repeat=len(inputs)):
-        val = [False] * scheme.nslots
-        for s in scheme.dyn:
-            val[s] = True
-        for s, bit in zip(inputs, bits):
-            val[s] = val[s] or bit
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in scheme.edges:
-                if val[a] and not val[b]:
-                    val[b] = True
-                    changed = True
-        if all(val[s] == bit for s, bit in zip(inputs, bits)):
-            out.append(
-                tuple(btmod.D if bit else btmod.S for bit in bits)
-            )
-            if len(out) >= cap:
-                break
-    return tuple(out)
-
-
-def pattern_str(pattern):
-    """The canonical text of one ground pattern (``"SDS"``-style) —
-    what interface files and version digests carry."""
-    return "".join("D" if b.dyn else "S" for b in pattern)
-
-
-_MAX_PATTERN_INPUTS = 8
 
 
 def result_input_names(scheme):

@@ -16,12 +16,10 @@ program:
    (:mod:`repro.backend.tiers`) forced in turn: the general
    interpreter, the residual interpreter, and the emitted + compiled
    Python must all agree with the ground truth;
-6. **strategies** — the non-default analysis-strategy matrix
-   (``docs/analyses.md``): ``division="poly"`` must produce a residual
-   *byte-identical* to the monovariant one (versions are a cogen
-   artefact, not a semantics change), and ``unfolding="size-change"``
-   residuals — genext and mix, which must again agree byte-for-byte —
-   must produce the interpreter's values.
+6. **strategy[size-change]** — the non-default analysis strategy
+   (``docs/analyses.md``): ``unfolding="size-change"`` residuals must
+   produce the interpreter's values, and genext and mix, which share
+   the strategy, must again agree byte-for-byte.
 
 On top of that, the goal's alternate static valuations are pushed
 through the parallel batch driver at every requested ``--jobs`` width;
@@ -52,15 +50,6 @@ from repro.types import infer_program
 
 DIFF_FUEL = 600_000
 DEFAULT_SPEC_TIMEOUT = 30.0
-
-# The non-default corners of the analysis-strategy space, differentially
-# checked by way 6.  (mono, lub) is every other way's baseline.
-STRATEGY_MATRIX = (
-    ("poly", "lub"),
-    ("mono", "size-change"),
-    ("poly", "size-change"),
-)
-
 
 def _failure(way, kind, message, **details):
     doc = {"way": way, "kind": kind, "message": str(message)}
@@ -268,12 +257,10 @@ def run_case(case, jobs_widths=(1,), check_cache=True, timeout=None, obs=None,
                         )
                     )
 
-    # -- way 6: the analysis-strategy matrix ----------------------------------
+    # -- way 6: size-change unfolding -----------------------------------------
     if strategy_matrix:
         failures.extend(
-            _check_strategy_matrix(
-                case, linked, genext_text, expected, options, obs
-            )
+            _check_size_change(case, linked, expected, options, obs)
         )
 
     # -- jobs widths through the batch driver --------------------------------
@@ -286,86 +273,65 @@ def run_case(case, jobs_widths=(1,), check_cache=True, timeout=None, obs=None,
     return failures
 
 
-def _check_strategy_matrix(case, linked, genext_text, expected, options, obs):
-    """Differentially check the non-default analysis strategies.
+def _check_size_change(case, linked, expected, options, obs):
+    """Differentially check size-change unfolding.
 
-    Polyvariant division is a compilation-artefact change, so its
-    residual must be byte-identical to the baseline's.  Size-change
-    unfolding legitimately changes the residual, so it is value-checked
-    against the interpreter instead — and the genext and mix paths,
-    which share the strategy, must still agree byte-for-byte."""
+    It legitimately changes the residual, so it is value-checked
+    against the interpreter instead of the baseline's bytes — and the
+    genext and mix paths, which share the strategy, must still agree
+    byte-for-byte."""
     from repro import compile_genexts
 
+    way = "strategy[size-change]"
+    sopts = options.replace(unfolding="size-change")
+    try:
+        sgp = compile_genexts(linked, sopts)
+        result = specialise(
+            sgp, case.goal, dict(case.static_args), sopts, obs=obs
+        )
+        text = pretty_program(result.program)
+    except Exception as exc:
+        return [_failure(way, "specialise", exc)]
     failures = []
-    for division, unfolding in STRATEGY_MATRIX:
-        way = "strategy[%s,%s]" % (division, unfolding)
-        sopts = options.replace(division=division, unfolding=unfolding)
+    for vec in case.dyn_inputs:
         try:
-            sgp = compile_genexts(linked, sopts)
-            result = specialise(
-                sgp, case.goal, dict(case.static_args), sopts, obs=obs
-            )
-            text = pretty_program(result.program)
+            got = _run_residual(result, vec)
         except Exception as exc:
-            failures.append(_failure(way, "specialise", exc))
+            failures.append(
+                _failure(way, "run", exc, variant=0, dyn=list(vec))
+            )
             continue
-        if unfolding == "lub" and text != genext_text:
+        if got != expected[(0, vec)]:
             failures.append(
                 _failure(
                     way,
-                    "bytes",
-                    "polyvariant division changed the residual program",
-                    baseline=genext_text,
-                    got=text,
+                    "value",
+                    "strategy residual disagrees with interpreter",
+                    variant=0,
+                    dyn=list(vec),
+                    expected=expected[(0, vec)],
+                    got=got,
                 )
             )
-            continue
-        for vec in case.dyn_inputs:
-            try:
-                got = _run_residual(result, vec)
-            except Exception as exc:
-                failures.append(
-                    _failure(way, "run", exc, variant=0, dyn=list(vec))
-                )
-                continue
-            if got != expected[(0, vec)]:
-                failures.append(
-                    _failure(
-                        way,
-                        "value",
-                        "strategy residual disagrees with interpreter",
-                        variant=0,
-                        dyn=list(vec),
-                        expected=expected[(0, vec)],
-                        got=got,
-                    )
-                )
-        if division == "mono" and unfolding != "lub":
-            try:
-                mix_result = mix_specialise(
-                    case.source,
-                    case.goal,
-                    dict(case.static_args),
-                    sopts,
-                    obs=obs,
-                )
-                mix_text = pretty_program(mix_result.program)
-            except Exception as exc:
-                failures.append(
-                    _failure(way, "specialise", exc, baseline="mix")
-                )
-                continue
-            if mix_text != text:
-                failures.append(
-                    _failure(
-                        way,
-                        "bytes",
-                        "mix residual differs from genext residual "
-                        "under %s unfolding" % unfolding,
-                        genext=text,
-                        mix=mix_text,
-                    )
-                )
+    try:
+        mix_result = mix_specialise(
+            case.source, case.goal, dict(case.static_args), sopts, obs=obs
+        )
+        mix_text = pretty_program(mix_result.program)
+    except Exception as exc:
+        failures.append(_failure(way, "specialise", exc, baseline="mix"))
+        return failures
+    if mix_text != text:
+        failures.append(
+            _failure(
+                way,
+                "bytes",
+                "mix residual differs from genext residual "
+                "under size-change unfolding",
+                genext=text,
+                mix=mix_text,
+            )
+        )
     return failures
 
 

@@ -68,8 +68,8 @@ def run_check(
     :class:`CheckReport`.  ``fuzz`` bounds the generated-program count
     (0 disables the differential pass); ``jobs_widths`` are the batch
     pool widths whose residuals must agree byte-for-byte;
-    ``strategy_matrix`` additionally lints and differentially checks the
-    non-default analysis strategies (``docs/analyses.md``)."""
+    ``strategy_matrix`` additionally lints and differentially checks
+    size-change unfolding (``docs/analyses.md``)."""
     from repro.obs import Obs
 
     obs = obs if obs is not None else Obs()
@@ -95,14 +95,10 @@ def run_check(
             if linked is not None:
                 findings = lint_linked(linked, force_residual)
                 if strategy_matrix:
-                    # The polyvariant division adds per-version lint;
-                    # size-change swaps the unfold rule for proof-based
-                    # checks.  Same source, stricter coverage.
+                    # Size-change swaps the unfold rule for proof-based
+                    # checks: same source, a second annotation to lint.
                     findings = findings + lint_linked(
-                        linked,
-                        force_residual,
-                        division="poly",
-                        unfolding="size-change",
+                        linked, force_residual, unfolding="size-change"
                     )
                 report.extend(findings)
                 metrics.counter("check.lint_findings").inc(len(findings))

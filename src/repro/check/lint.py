@@ -21,10 +21,7 @@ findings instead of raising on the first problem:
 The pass is strategy-aware (``docs/analyses.md``): under
 ``unfolding="size-change"`` the ``unfold-lub`` rule is skipped (the
 strategy's whole point is annotating below the lub) and the
-well-annotatedness re-check drops unfold domination; under
-``division="poly"`` every ground binding-time *version* of a definition
-is additionally re-checked, so a bug in version grounding cannot hide
-behind a well-annotated generic definition.
+well-annotatedness re-check drops unfold domination.
 """
 
 from repro.anno.ast import ACoerce, AIf, walk_aexpr
@@ -34,7 +31,7 @@ from repro.anno.check import (
     bt_leq,
     coercion_violation,
 )
-from repro.bt.analysis import analyse_program, ground_adef
+from repro.bt.analysis import analyse_program
 from repro.bt.bt import S, bt_lub
 from repro.check.report import Finding
 
@@ -50,10 +47,10 @@ def _finding(rule, where, message, **details):
 
 
 def lint_def(module_name, d, defs, force_residual=frozenset(),
-             unfolding="lub", where=None):
+             unfolding="lub"):
     """Findings for one annotated definition."""
     findings = []
-    where = where or "%s.%s" % (module_name, d.name)
+    where = "%s.%s" % (module_name, d.name)
 
     # Rule 1: every coercion is upward.
     for node in walk_aexpr(d.body):
@@ -105,38 +102,6 @@ def lint_def(module_name, d, defs, force_residual=frozenset(),
     return findings
 
 
-def lint_versions(analysis, force_residual=frozenset(), unfolding="lub"):
-    """Findings over every ground binding-time version of a polyvariant
-    analysis: each version's grounded definition must itself be
-    well-annotated (the generic definition passing does not imply the
-    grounded ones do — grounding evaluates every symbolic binding time,
-    which is exactly where a bad pattern would surface)."""
-    findings = []
-    defs = {}
-    for m in analysis.modules:
-        for d in m.annotated.defs:
-            defs[d.name] = d
-    for m in analysis.modules:
-        amodule = m.annotated
-        by_name = {d.name: d for d in amodule.defs}
-        for name, versions in sorted(m.versions.items()):
-            d = by_name[name]
-            for v in versions:
-                grounded = ground_adef(d, v.env(d.bt_params))
-                where = "%s.%s[%s]" % (amodule.name, name, v.pattern_str)
-                findings.extend(
-                    lint_def(
-                        amodule.name,
-                        grounded,
-                        defs,
-                        force_residual,
-                        unfolding=unfolding,
-                        where=where,
-                    )
-                )
-    return findings
-
-
 def lint_aprogram(aprogram, force_residual=frozenset(), unfolding="lub"):
     """Findings over a whole annotated program."""
     defs = {}
@@ -152,22 +117,11 @@ def lint_aprogram(aprogram, force_residual=frozenset(), unfolding="lub"):
     return findings
 
 
-def lint_linked(linked, force_residual=frozenset(), division="mono",
-                unfolding="lub", max_bt_versions=8):
-    """Analyse a linked program, then lint the annotation (and, under
-    ``division="poly"``, every ground binding-time version)."""
+def lint_linked(linked, force_residual=frozenset(), unfolding="lub"):
+    """Analyse a linked program, then lint the annotation."""
     analysis = analyse_program(
-        linked,
-        force_residual=force_residual,
-        division=division,
-        unfolding=unfolding,
-        max_bt_versions=max_bt_versions,
+        linked, force_residual=force_residual, unfolding=unfolding
     )
-    findings = lint_aprogram(
+    return lint_aprogram(
         analysis.annotated, force_residual, unfolding=unfolding
     )
-    if division == "poly":
-        findings.extend(
-            lint_versions(analysis, force_residual, unfolding=unfolding)
-        )
-    return findings

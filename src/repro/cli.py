@@ -1099,8 +1099,8 @@ def build_parser():
     )
     p.add_argument(
         "--no-strategy-matrix", action="store_true",
-        help="skip the non-default analysis strategies (polyvariant "
-        "division, size-change unfolding) in lint and fuzzing",
+        help="skip the size-change unfolding strategy in lint and "
+        "fuzzing",
     )
     observability(p)
     p.set_defaults(fn=cmd_check)

@@ -188,8 +188,7 @@ def _specialise_worker(payload):
 
 
 def specialise_many(
-    gp, requests, options=None, jobs=1, policy=None, obs=None, pool=None,
-    **legacy
+    gp, requests, options=None, jobs=1, policy=None, obs=None, pool=None
 ):
     """Specialise every request of a batch; returns a :class:`BatchResult`.
 
@@ -207,7 +206,7 @@ def specialise_many(
     from repro.api import spec_options
     from repro.obs import Obs
 
-    options = spec_options("specialise_many", options, legacy)
+    options = spec_options("specialise_many", options)
     if options.sink is not None:
         raise SpecError(
             "specialise_many cannot stream definitions; sink must be None"

@@ -107,16 +107,14 @@ def _absorb_spec_stats(metrics, stats):
             metrics.counter("spec." + name).inc(value)
 
 
-def specialise(gp, goal, static_args=None, options=None, obs=None, **legacy):
+def specialise(gp, goal, static_args=None, options=None, obs=None):
     """Specialise ``goal`` with respect to ``static_args``.
 
     ``static_args`` maps parameter names of the goal function to Python
     values; parameters not mentioned stay dynamic and become the
     parameters of the residual entry function.
 
-    ``options`` is a :class:`repro.api.SpecOptions` (legacy keywords —
-    ``strategy=...``, ``sink=...`` — still work, with a once-per-process
-    :class:`repro.api.LegacyOptionsWarning`).  Its ``timeout`` is a
+    ``options`` is a :class:`repro.api.SpecOptions`.  Its ``timeout`` is a
     wall-clock budget in seconds for the whole run — the time-domain
     companion of the ``max_versions`` (polyvariance) and interpreter
     ``fuel`` guards.  Past it the run is aborted with
@@ -137,7 +135,7 @@ def specialise(gp, goal, static_args=None, options=None, obs=None, **legacy):
     from repro.api import spec_options
     from repro.obs import Obs
 
-    options = spec_options("specialise", options, legacy)
+    options = spec_options("specialise", options)
     if obs is None:
         obs = Obs()
     tracer = obs.tracer

@@ -24,7 +24,6 @@ from repro.obs.metrics import METRICS_SCHEMA
 __all__ = [
     "BENCH_EXEC_TIERS_SCHEMA",
     "BENCH_INCREMENTAL_SCHEMA",
-    "BENCH_POLYVARIANCE_SCHEMA",
     "BENCH_SERVE_SCHEMA",
     "BENCH_SOAK_SCHEMA",
     "BENCH_SPEC_THROUGHPUT_SCHEMA",
@@ -32,7 +31,6 @@ __all__ = [
     "WELL_KNOWN_COUNTERS",
     "validate_bench_exec_tiers",
     "validate_bench_incremental",
-    "validate_bench_polyvariance",
     "validate_bench_serve",
     "validate_bench_soak",
     "validate_bench_spec_throughput",
@@ -53,12 +51,6 @@ BENCH_SOAK_SCHEMA = "repro.bench.soak/v1"
 BENCH_INCREMENTAL_SCHEMA = "repro.bench.incremental/v1"
 
 BENCH_EXEC_TIERS_SCHEMA = "repro.bench.exec_tiers/v1"
-
-BENCH_POLYVARIANCE_SCHEMA = "repro.bench.polyvariance/v1"
-
-# The paper's experiment families (Sec. 6, E4-E9) a polyvariance
-# scenario may claim membership of.
-_BENCH_FAMILIES = frozenset(["e4", "e5", "e6", "e7", "e8", "e9"])
 
 _REPORT_COMMANDS = ("build", "specialise", "fsck", "check")
 
@@ -555,84 +547,6 @@ def validate_bench_exec_tiers(doc):
     return problems
 
 
-def validate_bench_polyvariance(doc):
-    """Problems with a ``BENCH_polyvariance.json`` document (empty list
-    = ok).  The document is what ``benchmarks/bench_polyvariance.py``
-    emits: per-scenario residual sizes and warm residual run times under
-    the default strategies vs size-change unfolding, plus the
-    polyvariant-division byte-identity and cross-strategy value-identity
-    verdicts.  Every scenario names the paper experiment family
-    (E4-E9) it instantiates, and at least two scenarios must show a
-    measurable win — a smaller residual or a faster residual run."""
-    if not isinstance(doc, dict):
-        return ["bench document must be a JSON object"]
-    problems = []
-    if doc.get("schema") != BENCH_POLYVARIANCE_SCHEMA:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_POLYVARIANCE_SCHEMA, doc.get("schema"))
-        )
-    if not isinstance(doc.get("cpus"), int) or doc.get("cpus", 0) < 1:
-        problems.append("cpus must be a positive integer")
-    if not isinstance(doc.get("workload"), dict):
-        problems.append("workload must be an object")
-    if doc.get("values_identical") is not True:
-        problems.append(
-            "values_identical must be true (every strategy's residual "
-            "must compute the same values as the interpreter)"
-        )
-    if doc.get("poly_identical") is not True:
-        problems.append(
-            "poly_identical must be true (polyvariant division must "
-            "not change the residual program)"
-        )
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        return problems + ["scenarios must be a non-empty object"]
-    wins = 0
-    for name, s in sorted(scenarios.items()):
-        where = "scenarios[%r]" % name
-        if not isinstance(s, dict):
-            problems.append("%s: not an object" % where)
-            continue
-        if s.get("family") not in _BENCH_FAMILIES:
-            problems.append(
-                "%s: family must be one of %s, got %r"
-                % (where, "/".join(sorted(_BENCH_FAMILIES)), s.get("family"))
-            )
-        bad = False
-        for key, value in sorted(s.items()):
-            if key == "family":
-                continue
-            if (
-                not isinstance(value, _NUMBER)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                problems.append(
-                    "%s.%s must be a non-negative number" % (where, key)
-                )
-                bad = True
-        if bad:
-            continue
-        smaller = (
-            "sizechange_chars" in s
-            and s["sizechange_chars"] < s.get("baseline_chars", 0)
-        )
-        faster = (
-            "sizechange_run_us" in s
-            and s["sizechange_run_us"] < s.get("baseline_run_us", 0)
-        )
-        if smaller or faster:
-            wins += 1
-    if wins < 2:
-        problems.append(
-            "at least 2 scenarios must show a measurable size-change "
-            "win (smaller residual or faster residual run), got %d" % wins
-        )
-    return problems
-
-
 def validate_file(path):
     """``(kind, problems)`` for a JSON file; kind inferred from content."""
     try:
@@ -656,8 +570,6 @@ def validate_file(path):
         return "bench", validate_bench_incremental(doc)
     if isinstance(doc, dict) and doc.get("schema") == BENCH_EXEC_TIERS_SCHEMA:
         return "bench", validate_bench_exec_tiers(doc)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_POLYVARIANCE_SCHEMA:
-        return "bench", validate_bench_polyvariance(doc)
     return "unknown", ["unrecognised document (no known schema marker)"]
 
 

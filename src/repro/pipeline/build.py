@@ -355,10 +355,10 @@ class BuildEngine:
     deadline, matching the classic behaviour.
     """
 
-    def __init__(self, src_dir, options=None, obs=None, **legacy):
+    def __init__(self, src_dir, options=None, obs=None):
         from repro.api import build_options
 
-        options = build_options("BuildEngine", options, legacy)
+        options = build_options("BuildEngine", options)
         self.src_dir = src_dir
         self.options = options
         self.cache = ArtifactCache(
@@ -919,17 +919,16 @@ class BuildEngine:
         )
 
 
-def build_dir(src_dir, options=None, *, stats=None, obs=None, **legacy):
+def build_dir(src_dir, options=None, *, stats=None, obs=None):
     """One-call convenience: build a directory of ``*.mod`` sources.
 
-    ``options`` is a :class:`repro.api.BuildOptions` (legacy keywords
-    still work, with a :class:`repro.api.LegacyOptionsWarning`).  When
+    ``options`` is a :class:`repro.api.BuildOptions`.  When
     ``options.trace_path`` / ``options.metrics_path`` are set the trace
     and metrics snapshot are written there even if the build raises.
     """
     from repro.api import build_options
 
-    options = build_options("build_dir", options, legacy)
+    options = build_options("build_dir", options)
     if obs is None:
         obs = Obs.enabled() if options.trace_path else Obs()
     engine = BuildEngine(src_dir, options, obs=obs)

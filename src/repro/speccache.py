@@ -27,11 +27,10 @@ Key anatomy
   the run produces — or whether it fails);  ``fuel``/``timeout``/
   ``sink``/``cache_dir`` do not enter the key (they change how the run
   is executed or consumed, never its result);
-* the analysis strategy — ``division``, ``unfolding`` and
-  ``max_bt_versions`` — but only when ``division`` or ``unfolding`` is
-  not the default.  These fields arrived after the cache did; keying
-  them conditionally keeps every older key valid, since a
-  default-strategy request hashes exactly the bytes it always did.
+* the analysis strategy ``unfolding``, but only when it is not the
+  default ``"lub"``.  The field arrived after the cache did; keying it
+  conditionally keeps every older key valid, since a default-strategy
+  request hashes exactly the bytes it always did.
 
 Editing one module's source, relinking in a different topology, or
 changing any keyed option therefore forces a miss; everything else is a
@@ -129,17 +128,12 @@ def residual_cache_key(fingerprint, goal, static_args, options):
             else b"%d" % options.max_versions,
         )
     )
-    # Analysis strategies change the residual program (unfolding) or at
-    # least the compiled artefacts (division), so they key the cache.
-    # Appended conditionally so every pre-existing key stays valid.
-    if options.division != "mono" or options.unfolding != "lub":
+    # The unfolding strategy changes the residual program, so it keys
+    # the cache.  Appended conditionally so every pre-existing key stays
+    # valid.
+    if options.unfolding != "lub":
         h.update(
-            b"\x00analysis=division:%s;unfolding:%s;max_bt_versions:%d"
-            % (
-                options.division.encode("utf-8"),
-                options.unfolding.encode("utf-8"),
-                options.max_bt_versions,
-            )
+            b"\x00analysis=unfolding:%s" % options.unfolding.encode("utf-8")
         )
     return h.hexdigest()
 

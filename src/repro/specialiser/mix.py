@@ -121,10 +121,7 @@ class MixProgram:
 
         ``unfolding`` picks the unfold-annotation strategy (see
         :mod:`repro.bt.analysis`); it changes the residual program, so
-        it enters the fingerprint.  The binding-time *division* does
-        not: versions are a generating-extension compilation artefact
-        with no interpretive counterpart, and the residual is identical
-        either way."""
+        it enters the fingerprint."""
         from repro.bt.analysis import analyse_program
         from repro.modsys.program import load_program
 
@@ -255,19 +252,17 @@ class MixProgram:
         return rt.mk_lam(None, e.var, helper, bts, captured, e.label, e.fvs)
 
 
-def mix_specialise(source, goal, static_args=None, options=None, obs=None,
-                   **legacy):
+def mix_specialise(source, goal, static_args=None, options=None, obs=None):
     """Whole-pipeline specialisation with the interpretive baseline:
     parse + analyse the complete program, then specialise.  Returns the
     same :class:`~repro.genext.engine.SpecialisationResult` as the
     generating-extension path.
 
     ``options`` is a :class:`repro.api.SpecOptions`; its
-    ``force_residual`` set feeds the analysis front end.  Legacy
-    keywords still work with a deprecation warning."""
+    ``force_residual`` set feeds the analysis front end."""
     from repro.api import spec_options
 
-    options = spec_options("mix_specialise", options, legacy)
+    options = spec_options("mix_specialise", options)
     mp = MixProgram.from_source(
         source,
         force_residual=options.force_residual,

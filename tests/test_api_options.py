@@ -1,24 +1,16 @@
-"""The typed options facade (``repro.api``) and its deprecation shim."""
+"""The typed options facade (``repro.api``)."""
 
 import dataclasses
-import warnings
 
 import pytest
 
 import repro
 from repro import api
-from repro.api import BuildOptions, LegacyOptionsWarning, SpecOptions
+from repro.api import BuildOptions, SpecOptions
 from repro.pipeline import build_dir
 from repro.pipeline.faults import FaultPolicy
 
 POWER = "module Power where\n\npower n x = if n == 1 then x else x * power (n - 1) x\n"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    api._reset_legacy_warnings()
-    yield
-    api._reset_legacy_warnings()
 
 
 # ---------------------------------------------------------------------------
@@ -71,50 +63,14 @@ def test_options_compare_by_value():
 
 
 # ---------------------------------------------------------------------------
-# The coercion helpers and the deprecation shim.
+# Resolving an entry point's ``options`` argument.
 # ---------------------------------------------------------------------------
-
-
-def test_legacy_keywords_warn_exactly_once_per_entry_point():
-    gp = repro.compile_genexts(POWER)
-    with pytest.warns(LegacyOptionsWarning, match="specialise"):
-        repro.specialise(gp, "power", {"n": 3}, strategy="dfs")
-    # Second legacy call through the same entry point: silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = repro.specialise(gp, "power", {"n": 3}, strategy="dfs")
-    assert result.run(2) == 8, "legacy keywords still work"
-
-
-def test_each_entry_point_warns_independently(tmp_path):
-    (tmp_path / "Power.mod").write_text(POWER)
-    with pytest.warns(LegacyOptionsWarning, match="build_dir"):
-        build_dir(str(tmp_path), cache_dir=str(tmp_path / "cache"))
-    with pytest.warns(LegacyOptionsWarning, match="compile_genexts"):
-        repro.compile_genexts(POWER, force_residual={"power"})
-
-
-def test_reset_makes_the_warning_fire_again():
-    gp = repro.compile_genexts(POWER)
-    with pytest.warns(LegacyOptionsWarning):
-        repro.specialise(gp, "power", {"n": 3}, strategy="dfs")
-    api._reset_legacy_warnings()
-    with pytest.warns(LegacyOptionsWarning):
-        repro.specialise(gp, "power", {"n": 3}, strategy="dfs")
 
 
 def test_unknown_keyword_is_a_type_error():
     gp = repro.compile_genexts(POWER)
     with pytest.raises(TypeError, match="warp_speed"):
         repro.specialise(gp, "power", {"n": 3}, warp_speed=9)
-
-
-def test_options_and_legacy_keywords_together_rejected():
-    gp = repro.compile_genexts(POWER)
-    with pytest.raises(TypeError, match="not both"):
-        repro.specialise(
-            gp, "power", {"n": 3}, SpecOptions(strategy="dfs"), timeout=5.0
-        )
 
 
 def test_wrong_options_type_rejected(tmp_path):
@@ -124,16 +80,8 @@ def test_wrong_options_type_rejected(tmp_path):
 
 def test_options_object_passes_through_unchanged():
     opts = SpecOptions(strategy="dfs")
-    assert api.spec_options("specialise", opts, {}) is opts
-    assert api.build_options("build_dir", None, {}) == BuildOptions()
-
-
-def test_legacy_coercion_builds_equivalent_options():
-    with pytest.warns(LegacyOptionsWarning):
-        opts = api.build_options(
-            "build_dir", None, {"jobs": 4, "keep_going": True}
-        )
-    assert opts == BuildOptions(jobs=4, keep_going=True)
+    assert api.spec_options("specialise", opts) is opts
+    assert api.build_options("build_dir", None) == BuildOptions()
 
 
 # ---------------------------------------------------------------------------

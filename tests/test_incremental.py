@@ -8,8 +8,7 @@ import glob
 
 import pytest
 
-from repro import api
-from repro.api import BuildOptions, LegacyOptionsWarning
+from repro.api import BuildOptions
 from repro.bt.interface import (
     InterfaceStore,
     interface_text,
@@ -218,15 +217,13 @@ def test_cli_json_carries_the_rebuild_report(tmp_path, capsys):
     assert doc["report"]["stats"]["defs_cut_off"] == 0
 
 
-def test_legacy_incremental_kwarg_warns(tmp_path):
+def test_incremental_false_cold_build(tmp_path):
     _write(tmp_path, "Power", POWER)
-    api._reset_legacy_warnings()
-    with pytest.warns(LegacyOptionsWarning, match="build_dir"):
-        result = build_dir(
-            str(tmp_path),
-            cache_dir=str(tmp_path / "cache"),
-            incremental=False,
-        )
+    result = build_dir(
+        str(tmp_path),
+        BuildOptions(cache_dir=str(tmp_path / "cache"), incremental=False),
+    )
+    assert result.analysed == ["Power"]
     assert result.rebuild.incremental is False
 
 

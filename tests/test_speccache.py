@@ -106,6 +106,20 @@ def test_key_ignores_execution_knobs_but_not_semantics():
     assert base != residual_cache_key(fp, "power", {"n": 4}, SpecOptions())
 
 
+def test_default_strategy_key_is_pinned():
+    """A default-strategy request hashes the same bytes it always has,
+    so residuals cached by earlier releases stay warm; size-change
+    unfolding keys apart from it."""
+    fp = "0" * 64
+    base = residual_cache_key(fp, "power", {"n": 3}, SpecOptions())
+    assert base == (
+        "c6cdab938080e8427ff651f99f0657f9d652ec52497963dbb3d80f4bbb0679f1"
+    )
+    assert base != residual_cache_key(
+        fp, "power", {"n": 3}, SpecOptions(unfolding="size-change")
+    )
+
+
 def test_fingerprint_changes_when_a_module_source_changes():
     assert _gp(POWER).fingerprint() != _gp(POWER_EDITED).fingerprint()
 

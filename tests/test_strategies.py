@@ -1,6 +1,6 @@
-"""The analysis-strategy matrix (docs/analyses.md): polyvariant
-binding-time division and size-change unfolding as properties over the
-pinned corpus, plus the v2 interface version table round-trip."""
+"""The analysis strategies (docs/analyses.md): size-change unfolding as a
+property over the pinned corpus and the E5/E6 lookups, and the default
+division's per-call-site binding times."""
 
 import json
 import os
@@ -9,17 +9,14 @@ import pytest
 
 import repro
 from repro.api import SpecOptions
-from repro.bench.generators import dual_pattern_program, power_source
-from repro.bt.analysis import analyse_program
-from repro.bt.interface import (
-    InterfaceStore,
-    analysis_versions,
-    interface_text,
-    version_digest,
+from repro.bench.generators import (
+    dual_pattern_program,
+    library_lookup_program,
+    memory_lookup_program,
 )
-from repro.bt.scheme import ground_patterns, pattern_str
 from repro.genext.batch import specialise_many
 from repro.genext.engine import specialise
+from repro.interp import run_program
 from repro.lang.pretty import pretty_program
 from repro.modsys.program import load_program
 
@@ -38,91 +35,60 @@ def _spec(source, goal, static, **strategies):
     return res, pretty_program(res.program)
 
 
-# ---------------------------------------------------------------------------
-# ground_patterns
-# ---------------------------------------------------------------------------
-
-
-class TestGroundPatterns:
-    def _power_scheme(self):
-        analysis = analyse_program(load_program(power_source()))
-        return analysis.modules[0].schemes["power"]
-
-    def test_patterns_are_distinct_ground_and_aligned(self):
-        scheme = self._power_scheme()
-        patterns = ground_patterns(scheme, 8)
-        assert len(patterns) >= 2
-        assert len(set(patterns)) == len(patterns)
-        n_inputs = len(scheme.inputs())
-        for p in patterns:
-            assert len(p) == n_inputs
-            assert set(pattern_str(p)) <= {"S", "D"}
-
-    def test_deterministic_and_lexicographic(self):
-        scheme = self._power_scheme()
-        patterns = ground_patterns(scheme, 8)
-        assert patterns == ground_patterns(scheme, 8)
-        # Lexicographic with S < D.
-        ranks = [
-            tuple(0 if c == "S" else 1 for c in pattern_str(p))
-            for p in patterns
-        ]
-        assert ranks == sorted(ranks)
-
-    def test_cap_bounds_enumeration(self):
-        scheme = self._power_scheme()
-        assert len(ground_patterns(scheme, 1)) <= 1
-        assert ground_patterns(scheme, 0) == ()
+def _interpret(source, goal, static, dyn_params, vec):
+    """``run_program`` on the goal's full argument list."""
+    linked = load_program(source)
+    values = dict(static)
+    values.update(zip(dyn_params, vec))
+    _, goal_def = linked.find_def(goal)
+    return run_program(linked, goal, [values[p] for p in goal_def.params])
 
 
 # ---------------------------------------------------------------------------
-# Polyvariant division over the corpus
+# The default division already specialises per call site
 # ---------------------------------------------------------------------------
 
 
-def test_poly_versions_exist_and_dispatch():
-    source, goal, static, _dyn = dual_pattern_program(2, seed=3)
-    analysis = analyse_program(load_program(source), division="poly")
-    versions = {
-        name: vs for m in analysis.modules for name, vs in m.versions.items()
-    }
-    assert any(len(vs) >= 2 for vs in versions.values())
-    for vs in versions.values():
-        for i, v in enumerate(vs):
-            assert v.name == "%s__btv%d" % (v.base, v.index)
-            assert v.index == i
-    mono_res, mono_text = _spec(source, goal, static)
-    poly_res, poly_text = _spec(source, goal, static, division="poly")
-    assert poly_text == mono_text
+def test_default_division_specialises_each_call_site_at_its_pattern():
+    """Each definition's binding-time scheme is polymorphic, so the
+    static-count calls unfold while the dynamic-count calls leave one
+    residual loop each: no lub of the two patterns."""
+    source, goal, static, dyn = dual_pattern_program(2, seed=3)
+    res, text = _spec(source, goal, static)
+    assert (
+        "client d = d + 4 + 4 + 4 + g0_1 d d + (d + 9 + 9 + 9 + 9) + g1_1 d d"
+        in text.splitlines()
+    )
     for d in (0, 1, 5):
-        assert poly_res.run(d) == mono_res.run(d)
-
-
-def test_conftest_corpus_poly_byte_identical(corpus_case):
-    """division="poly" is a cogen artefact: on every conftest corpus
-    program the residual must stay byte-identical to the monovariant
-    one, and compute the same values."""
-    force = frozenset(corpus_case.get("force_residual", ()))
-    mono_res, mono_text = _spec(
-        corpus_case["source"],
-        corpus_case["goal"],
-        corpus_case["static"],
-        force_residual=force,
-    )
-    poly_res, poly_text = _spec(
-        corpus_case["source"],
-        corpus_case["goal"],
-        corpus_case["static"],
-        force_residual=force,
-        division="poly",
-    )
-    assert poly_text == mono_text
-    for vec in corpus_case["dyn_inputs"]:
-        assert poly_res.run(*vec) == mono_res.run(*vec)
+        assert res.run(d) == _interpret(source, goal, static, dyn, (d,))
 
 
 # ---------------------------------------------------------------------------
-# The pinned 25-seed corpus under the strategy matrix
+# Size-change shrinks the E5/E6 lookups
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "program, vectors",
+    [
+        (memory_lookup_program(8, seed=7), ((0,), (1,), (7,), (11,))),
+        (library_lookup_program(4, 8, seed=7), ((0,), (4,), (7,))),
+    ],
+    ids=["memory-lookup", "library-lookup"],
+)
+def test_size_change_shrinks_lookup_residuals(program, vectors):
+    source, goal, static, dyn = program
+    lub_res, lub_text = _spec(source, goal, static)
+    sc_res, sc_text = _spec(source, goal, static, unfolding="size-change")
+    assert len(sc_text) < len(lub_text)
+    for vec in vectors:
+        want = _interpret(source, goal, static, dyn, vec)
+        assert lub_res.run(*vec) == want
+        assert sc_res.run(*vec) == want
+
+
+# ---------------------------------------------------------------------------
+# The pinned 25-seed corpus under size-change unfolding
 # ---------------------------------------------------------------------------
 
 
@@ -130,22 +96,12 @@ def test_conftest_corpus_poly_byte_identical(corpus_case):
     "corpus_file", CORPUS_FILES, ids=[os.path.basename(p) for p in CORPUS_FILES]
 )
 def test_pinned_corpus_strategies(corpus_file):
-    """Every pinned seed: the polyvariant residual must match the
-    golden (monovariant) text byte for byte; the size-change residual
-    must compute the pinned values and come out byte-identical across
-    batch widths 1 and 4."""
+    """Every pinned seed: the size-change residual must compute the
+    pinned values and come out byte-identical across batch widths 1
+    and 4."""
     with open(corpus_file) as f:
         doc = json.load(f)
 
-    # Poly: byte-identical to the pinned golden text.
-    poly_opts = SpecOptions(division="poly")
-    poly_gp = repro.compile_genexts(doc["source"], poly_opts)
-    for vi, valuation in enumerate(doc["static_variants"]):
-        result = specialise(poly_gp, doc["goal"], dict(valuation),
-                            options=poly_opts)
-        assert pretty_program(result.program) == doc["residuals"][vi]
-
-    # Size-change: pinned values, and width-independent bytes.
     sc_opts = SpecOptions(unfolding="size-change")
     sc_gp = repro.compile_genexts(doc["source"], sc_opts)
     requests = [
@@ -164,68 +120,3 @@ def test_pinned_corpus_strategies(corpus_file):
                 assert got == listy
         texts_by_width[width] = texts
     assert texts_by_width[1] == texts_by_width[4]
-
-
-# ---------------------------------------------------------------------------
-# Interface version table: v2 round-trip, v1 degradation, skew
-# ---------------------------------------------------------------------------
-
-
-class TestInterfaceVersions:
-    def _poly_module(self):
-        source, _goal, _static, _dyn = dual_pattern_program(2, seed=5)
-        analysis = analyse_program(load_program(source), division="poly")
-        for m in analysis.modules:
-            if any(m.versions.values()):
-                return m
-        raise AssertionError("no module produced versions")
-
-    def test_v2_round_trip_with_versions(self):
-        m = self._poly_module()
-        versions = analysis_versions(m)
-        assert versions
-        text = interface_text(m.name, m.schemes, versions=versions)
-        store = InterfaceStore()
-        iface = store.load_text(text)
-        assert store.verify(iface) == []
-        for name, patterns in versions.items():
-            entries = iface.versions_of_def(name)
-            assert tuple(p for p, _d in entries) == patterns
-            for pattern, digest in entries:
-                assert digest == version_digest(m.schemes[name], pattern)
-        # Re-serialising the parsed document is byte-stable.
-        assert interface_text(m.name, iface.schemes, versions=versions) == text
-
-    def test_v1_drops_the_version_table(self):
-        m = self._poly_module()
-        versions = analysis_versions(m)
-        text = interface_text(m.name, m.schemes, format=1, versions=versions)
-        iface = InterfaceStore().load_text(text)
-        assert iface.format == 1
-        assert iface.versions is None
-        assert iface.versions_of_def(next(iter(versions))) == ()
-
-    def test_monovariant_file_is_unchanged_by_the_parameter(self):
-        m = self._poly_module()
-        assert interface_text(m.name, m.schemes) == interface_text(
-            m.name, m.schemes, versions={}
-        )
-
-    def test_version_digest_skew_detected(self):
-        m = self._poly_module()
-        versions = analysis_versions(m)
-        text = interface_text(m.name, m.schemes, versions=versions)
-        doc = json.loads(text)
-        name = next(iter(doc["versions"]))
-        doc["versions"][name][0]["digest"] = "0" * 64
-        store = InterfaceStore()
-        iface = store.load_text(json.dumps(doc))
-        problems = store.verify(iface)
-        assert any(rule == "version_digest_skew" for rule, _n, _m in problems)
-
-    def test_unknown_scheme_in_versions_rejected_at_serialise(self):
-        from repro.bt.interface import InterfaceError
-
-        m = self._poly_module()
-        with pytest.raises(InterfaceError):
-            interface_text(m.name, m.schemes, versions={"ghost": ("SD",)})
