@@ -4,9 +4,10 @@
 tailored for specialisation once and for all.  For the analysis we only
 require that all imported modules have been analysed."
 
-We build an import chain of 24 modules and compare the cost of
-refreshing the analysis after various events, under the
-content-digest invalidation scheme:
+We build an import chain of 24 modules with the build engine
+(publishing each ``*.bti`` next to its source, as ``mspec analyze``
+does) and compare the cost of refreshing the analysis after various
+events, under content-digest invalidation:
 
 * **whole-program** — re-analyse everything (a specialiser without
   interface files);
@@ -16,39 +17,42 @@ content-digest invalidation scheme:
 * **root edit, comment** — change the first module without changing its
   interface; early cutoff stops the cone at the root itself;
 * **root edit, new export** — change the first module's *interface*;
-  the direct importer is re-analysed, but its own interface comes out
-  byte-identical, so the remaining 22 modules are cut off.
+  the direct importer references none of the new definitions, so its
+  definition-level key is unchanged and the cone stops at the root.
 """
 
+import itertools
 import os
 import time
 
-import pytest
-
+from repro.api import BuildOptions
 from repro.bench.generators import layered_program
 from repro.bt.analysis import analyse_program
-from repro.bt.interface import InterfaceManager
 from repro.modsys.program import load_program_dir
+from repro.pipeline import build_dir
 
 N_MODULES = 24
 DEFS = 4
 
 
-def _setup(tmp):
+def _write_sources(tmp):
     sources = layered_program(N_MODULES, DEFS, seed=2)
     for name, text in sources.items():
         with open(os.path.join(tmp, name + ".mod"), "w") as f:
             f.write(text)
-    linked = load_program_dir(tmp)
-    manager = InterfaceManager(tmp)
-    manager.analyse(linked)  # prime all interfaces
-    return sources, manager
+    return sources
+
+
+def _refresh(tmp, cache_dir):
+    """Bring every interface in ``tmp`` up to date; returns the modules
+    that were (re-)analysed."""
+    result = build_dir(tmp, BuildOptions(cache_dir=cache_dir, iface_dir=tmp))
+    return result.analysed + result.incremental
 
 
 def _edit(tmp, name, text):
     with open(os.path.join(tmp, name + ".mod"), "w") as f:
         f.write(text)
-    return load_program_dir(tmp)
 
 
 def _timed(fn):
@@ -58,8 +62,11 @@ def _timed(fn):
 
 
 def test_separate_analysis(benchmark, table, tmp_path):
-    tmp = str(tmp_path)
-    sources, manager = _setup(tmp)
+    tmp = str(tmp_path / "src")
+    os.makedirs(tmp)
+    cache_dir = str(tmp_path / "cache")
+    sources = _write_sources(tmp)
+    _refresh(tmp, cache_dir)  # prime all interfaces
     leaf = "M%d" % (N_MODULES - 1)
 
     def scenario():
@@ -70,16 +77,16 @@ def test_separate_analysis(benchmark, table, tmp_path):
         future = time.time() + 10
         for name in sources:
             os.utime(os.path.join(tmp, name + ".mod"), (future, future))
-        t_touch, (_, touched) = _timed(lambda: manager.analyse(linked))
+        t_touch, touched = _timed(lambda: _refresh(tmp, cache_dir))
 
-        edited = _edit(tmp, leaf, sources[leaf] + "leaf_extra n x = x\n")
-        t_leaf, (_, leafed) = _timed(lambda: manager.analyse(edited))
+        _edit(tmp, leaf, sources[leaf] + "leaf_extra n x = x\n")
+        t_leaf, leafed = _timed(lambda: _refresh(tmp, cache_dir))
 
-        edited = _edit(tmp, "M0", "-- cutoff probe\n" + sources["M0"])
-        t_cut, (_, cut) = _timed(lambda: manager.analyse(edited))
+        _edit(tmp, "M0", "-- cutoff probe\n" + sources["M0"])
+        t_cut, cut = _timed(lambda: _refresh(tmp, cache_dir))
 
-        edited = _edit(tmp, "M0", sources["M0"] + "root_extra n x = x\n")
-        t_root, (_, rooted) = _timed(lambda: manager.analyse(edited))
+        _edit(tmp, "M0", sources["M0"] + "root_extra n x = x\n")
+        t_root, rooted = _timed(lambda: _refresh(tmp, cache_dir))
 
         rows.append(["whole-program re-analysis", N_MODULES, "%.2f ms" % (t_whole * 1e3)])
         rows.append(["touch all (digests)", len(touched), "%.2f ms" % (t_touch * 1e3)])
@@ -100,19 +107,18 @@ def test_separate_analysis(benchmark, table, tmp_path):
     assert touched == []
     assert leafed == ["M%d" % (N_MODULES - 1)]
     assert cut == ["M0"], "early cutoff: the comment edit dirties M0 alone"
-    assert rooted == ["M0", "M1"], "cutoff at M1's unchanged interface"
+    assert rooted == ["M0"], "cutoff at M1's import: it uses no new export"
     assert t_leaf * 3 < t_whole, "a leaf edit must be far cheaper"
 
 
 def test_prime_interfaces_speed(benchmark, tmp_path):
-    tmp = str(tmp_path)
-    sources = layered_program(N_MODULES, DEFS, seed=2)
-    for name, text in sources.items():
-        with open(os.path.join(tmp, name + ".mod"), "w") as f:
-            f.write(text)
-    linked = load_program_dir(tmp)
+    tmp = str(tmp_path / "src")
+    os.makedirs(tmp)
+    _write_sources(tmp)
+    rounds = itertools.count()
 
     def prime():
-        return InterfaceManager(tmp).analyse(linked, force=True)
+        cache_dir = str(tmp_path / ("cache%d" % next(rounds)))
+        return _refresh(tmp, cache_dir)
 
     benchmark(prime)

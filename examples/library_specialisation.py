@@ -16,7 +16,8 @@ import os
 import tempfile
 
 import repro
-from repro.bt.interface import InterfaceManager, read_interface
+from repro.api import BuildOptions
+from repro.bt.interface import read_interface
 from repro.genext.cogen import cogen_program
 from repro.genext.link import load_genext_dir, write_genexts
 
@@ -56,15 +57,14 @@ def main():
     # ------------------------------------------------------------------
     with open(os.path.join(src_dir, "Lists.mod"), "w") as f:
         f.write(LIBRARY)
-    vendor_program = repro.load_program_dir(src_dir)
-    manager = InterfaceManager(src_dir)
-    schemes, analysed = manager.analyse(vendor_program)
-    print("Vendor analysed modules:", ", ".join(analysed))
+    built = repro.build_dir(
+        src_dir, BuildOptions(iface_dir=src_dir, out_dir=dist_dir)
+    )
+    print("Vendor analysed modules:", ", ".join(built.analysed))
+    _, schemes = read_interface(os.path.join(src_dir, "Lists.bti"))
     print("Sample schemes:")
     for name in ("map", "take", "sum"):
         print("  %s : %s" % (name, schemes[name]))
-    analysis = repro.analyse_program(vendor_program)
-    write_genexts(cogen_program(analysis), dist_dir)
     print("Shipped artefacts:", sorted(os.listdir(dist_dir)))
     print()
 

@@ -65,12 +65,6 @@ class BuildOptions:
     policy: Optional[FaultPolicy] = None
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None
-    # Definition-level incremental recompilation: on a module-key miss,
-    # rebuild only the SCCs whose sources or read schemes changed,
-    # against the previous build's per-def record.  False keys builds
-    # at module granularity (whole dep interface digests), the PR-1
-    # behaviour — useful as an A/B baseline and as a hard off switch.
-    incremental: bool = True
 
     def __post_init__(self):
         if self.jobs < 1:

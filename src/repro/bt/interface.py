@@ -9,30 +9,19 @@ Interface files are JSON (one per module, suffix ``.bti``), containing
 the canonical :class:`~repro.bt.scheme.BTScheme` of every exported
 function.  The serialisation is canonical (sorted keys, fixed layout),
 so *byte equality of interface files coincides with semantic equality of
-interfaces* — the property the content-addressed invalidation scheme
-rests on.
+interfaces*.
 
-Format v2 (``repro.bti/v2``) additionally carries a per-definition
-scheme digest table (``"digests"``): the SHA-256 of each exported
-scheme's canonical JSON.  Per-def digests are what lets the build key
-a dependent module on *only the definitions it actually references*
-rather than on the whole interface file — the definition-level early
-cutoff.  v1 files (no digest table) are still read transparently; their
-digests are derived from the parsed schemes on load.
+The format (``"format": 2``) also carries a per-definition scheme
+digest table (``"digests"``): the SHA-256 of each exported scheme's
+canonical JSON.  Per-def digests are what lets the build key a
+dependent module on *only the definitions it actually references*
+(:func:`module_key_v2`) rather than on the whole interface file — the
+definition-level early cutoff.
 
-All v1/v2 parsing, verification and digesting lives in
-:class:`InterfaceStore`; the module-level helpers
-(:func:`read_interface`, :func:`interface_from_text`) are thin wrappers
-kept for compatibility.
-
-The :class:`InterfaceManager` implements the separate-analysis workflow
-with **content-digest invalidation**: each module's artifacts are keyed
-by the SHA-256 of its source text plus the digests of its imports'
-interface files (:func:`module_key`).  A module is re-analysed only when
-that key changes — so ``touch`` and fresh checkouts cost nothing, and an
-edit that leaves a module's interface byte-identical stops invalidation
-propagating any further (early cutoff).  Writes are atomic (temp file +
-``os.replace``), so concurrent builders never observe torn artifacts.
+All parsing and verification lives in :class:`InterfaceStore`;
+:func:`read_interface` is a thin wrapper over it.  The
+separate-analysis workflow itself (analyse each module once, against
+its imports' interfaces) is :class:`repro.pipeline.BuildEngine`.
 """
 
 import hashlib
@@ -40,17 +29,14 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bt.analysis import analyse_module
 from repro.bt.bttypes import BTTBase, BTTFun, BTTList, BTTPair, BTTSkel
 from repro.bt.scheme import BTScheme
 from repro.lru import LruMemo
 
 INTERFACE_SUFFIX = ".bti"
-KEY_SUFFIX = ".bti.key"
 FORMAT_VERSION = 2
-SUPPORTED_FORMATS = (1, 2)
 
 # Bumping this invalidates every cached artifact (interfaces, genext
 # sources, code objects) — do so whenever the analysis or the cogen
@@ -137,27 +123,17 @@ def scheme_digest(scheme):
     return h.hexdigest()
 
 
-def interface_text(module_name, schemes, format=FORMAT_VERSION):
+def interface_text(module_name, schemes):
     """The canonical on-disk serialisation of one interface.
 
-    Deterministic for a given ``(module_name, schemes, format)``: two
-    analyses that agree on the schemes produce byte-identical files,
-    which is what lets :func:`interface_digest` double as a semantic
-    fingerprint.  Format 2 (the default) carries a per-definition
-    scheme digest table; pass ``format=1`` to reproduce the legacy
-    serialisation (used by the canonicality checker on old files).
-    """
-    if format not in SUPPORTED_FORMATS:
-        raise InterfaceError("cannot serialise interface format %r" % (format,))
+    Deterministic for a given ``(module_name, schemes)``: two analyses
+    that agree on the schemes produce byte-identical files."""
     payload = {
-        "format": format,
+        "format": FORMAT_VERSION,
         "module": module_name,
         "schemes": {name: scheme_to_json(s) for name, s in schemes.items()},
+        "digests": {name: scheme_digest(s) for name, s in schemes.items()},
     }
-    if format >= 2:
-        payload["digests"] = {
-            name: scheme_digest(s) for name, s in schemes.items()
-        }
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
@@ -191,24 +167,18 @@ def write_interface(path, module_name, schemes):
 
 @dataclass(frozen=True)
 class Interface:
-    """One parsed interface document (either on-disk format).
+    """One parsed interface document.
 
-    ``digests`` is always populated — derived from the parsed schemes —
-    so callers never branch on the format.  ``stored_digests`` is the
-    digest table as present in the file (``None`` for v1 files), kept
-    separate so :meth:`InterfaceStore.verify` can detect skew between
-    the table and the schemes it claims to describe."""
+    ``digests`` is derived from the parsed schemes; ``stored_digests``
+    is the digest table as present in the file, kept separate so
+    :meth:`InterfaceStore.verify` can detect skew between the table and
+    the schemes it claims to describe."""
 
     module: str
     schemes: Dict[str, BTScheme]
     digests: Dict[str, str]
-    stored_digests: Optional[Dict[str, str]]
-    format: int
+    stored_digests: Dict[str, str]
     text: str
-
-    def digest_of_def(self, name):
-        """The scheme digest of one exported definition, or ``None``."""
-        return self.digests.get(name)
 
 
 # Parsing an interface re-derives every scheme and its digest, and a
@@ -225,15 +195,12 @@ def clear_interface_memo():
 
 
 class InterfaceStore:
-    """The single place v1/v2 interface documents are parsed, verified
-    and digested.
+    """The single place interface documents are parsed and verified.
 
-    The three historical interface-reading entry points — the
-    :func:`read_interface` helper, the ``repro.check.ifaces`` checker,
-    and the pipeline's cache-digest code — all route through this class,
-    so format evolution happens in exactly one file.  An optional
-    ``iface_dir`` makes the name-based conveniences
-    (:meth:`path`, :meth:`digest_of_def`) available."""
+    The :func:`read_interface` helper, the ``repro.check.ifaces``
+    checker and the build engine all route through this class, so the
+    format lives in exactly one file.  An optional ``iface_dir`` makes
+    :meth:`path` available."""
 
     def __init__(self, iface_dir=None):
         self.iface_dir = iface_dir
@@ -271,7 +238,7 @@ class InterfaceStore:
                 % (origin, type(payload).__name__)
             )
         format = payload.get("format")
-        if format not in SUPPORTED_FORMATS:
+        if format != FORMAT_VERSION:
             raise InterfaceError(
                 "%s: unsupported interface format %r" % (origin, format)
             )
@@ -287,16 +254,13 @@ class InterfaceStore:
             }
         except InterfaceError as e:
             raise InterfaceError("%s: %s" % (origin, e))
-        stored = None
-        if format >= 2:
-            stored = payload.get("digests")
-            if not isinstance(stored, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in stored.items()
-            ):
-                raise InterfaceError(
-                    "%s: missing or malformed 'digests' table" % origin
-                )
+        stored = payload.get("digests")
+        if not isinstance(stored, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in stored.items()
+        ):
+            raise InterfaceError(
+                "%s: missing or malformed 'digests' table" % origin
+            )
         # The authoritative digests are always re-derived from the
         # schemes: a stale stored table can then never poison a cache
         # key — it is surfaced as skew by verify() instead.
@@ -306,7 +270,6 @@ class InterfaceStore:
             schemes=schemes,
             digests=digests,
             stored_digests=stored,
-            format=format,
             text=text,
         )
 
@@ -317,22 +280,18 @@ class InterfaceStore:
                 text = f.read()
         except OSError as e:
             raise InterfaceError("cannot read %s: %s" % (path, e))
+        except UnicodeDecodeError as e:
+            raise InterfaceError("corrupt interface file %s: %s" % (path, e))
         return self.load_text(text, origin=path)
-
-    def load_module(self, module_name):
-        """Load ``<iface_dir>/<module_name>.bti``."""
-        return self.load(self.path(module_name))
 
     def verify(self, iface):
         """Check a parsed interface's internal consistency.
 
         Returns a list of ``(rule, def_name, message)`` problems; empty
         means the document is self-consistent.  The interesting rule is
-        ``def_digest_skew``: a v2 digest table that disagrees with the
+        ``def_digest_skew``: a digest table that disagrees with the
         schemes next to it (a hand edit or a torn merge) — distinct
         from a corrupt file, because the schemes themselves parsed."""
-        if iface.stored_digests is None:
-            return []
         problems = []
         for name in sorted(set(iface.stored_digests) | set(iface.digests)):
             stored = iface.stored_digests.get(name)
@@ -365,30 +324,8 @@ class InterfaceStore:
                 )
         return problems
 
-    def digest_of_def(self, module_name, def_name):
-        """The per-def scheme digest of ``def_name`` as exported by
-        ``module_name``'s on-disk interface, or ``None`` when the
-        interface or the definition is missing."""
-        try:
-            iface = self.load_module(module_name)
-        except InterfaceError:
-            return None
-        return iface.digest_of_def(def_name)
-
-    def file_digest(self, path):
-        """Whole-file digest (see :func:`interface_digest`)."""
-        return interface_digest(path)
-
 
 _STORE = InterfaceStore()
-
-
-def interface_from_text(text, origin="<interface>"):
-    """Parse interface text; returns ``(module_name, schemes)``.
-
-    Compatibility wrapper over :meth:`InterfaceStore.load_text`."""
-    iface = _STORE.load_text(text, origin=origin)
-    return iface.module, dict(iface.schemes)
 
 
 def read_interface(path):
@@ -406,67 +343,21 @@ def read_interface(path):
 _KEY_SALT = b"mspec-artifact-key\x00"
 
 
-def interface_digest(path):
-    """SHA-256 hex digest of an interface file's bytes, or ``None`` if
-    the file does not exist.  Because the serialisation is canonical,
-    equal digests mean equal interfaces."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError:
-        return None
-    return hashlib.sha256(data).hexdigest()
-
-
-def digest_text(text):
-    """SHA-256 hex digest of a text artifact (canonical serialisation)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def module_key(source_bytes, dep_digests, force_residual=frozenset()):
-    """The content-addressed cache key of one module's artifacts.
-
-    ``sha256`` over: a salt and :data:`CACHE_EPOCH`, the module's source
-    bytes, the analysis options that change its output
-    (``force_residual``), and the *interface digests* of its direct
-    imports (sorted by name).  Keying on the imports' interfaces — not
-    their sources — is what gives early cutoff: an upstream edit that
-    leaves an interface byte-identical leaves every downstream key
-    unchanged.
-
-    ``dep_digests`` is an iterable of ``(dep_name, digest_hex)``; a
-    ``None`` digest (missing dep interface) poisons the key so the
-    module can never appear up to date.
-    """
-    h = hashlib.sha256()
-    h.update(_KEY_SALT)
-    h.update(b"epoch=%d fmt=%d\x00" % (CACHE_EPOCH, FORMAT_VERSION))
-    h.update(source_bytes)
-    h.update(b"\x00")
-    for name in sorted(force_residual):
-        h.update(b"resid:")
-        h.update(name.encode("utf-8"))
-        h.update(b"\x00")
-    for dep, digest in sorted(dep_digests):
-        h.update(dep.encode("utf-8"))
-        h.update(b"=")
-        h.update((digest or "<missing>").encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
 def module_key_v2(source_bytes, import_names, used_def_digests,
                   force_residual=frozenset()):
     """The definition-keyed cache key of one module's artifacts.
 
-    Like :func:`module_key` but keyed on the *per-definition scheme
-    digests of only the imported definitions the module syntactically
-    references* (``used_def_digests``: ``(def_name, digest_hex)``
-    pairs), not on whole dep interface files.  An upstream edit that
-    changes the scheme of a definition this module never mentions —
-    or that changes a body without changing any scheme — leaves this
-    key unchanged, so the module is never re-analysed: early cutoff at
-    definition granularity.
+    ``sha256`` over: a salt, :data:`CACHE_EPOCH` and
+    :data:`FORMAT_VERSION`, the module's source bytes, the analysis
+    options that change its output (``force_residual``), its import
+    names, and the *per-definition scheme digests of only the imported
+    definitions the module syntactically references*
+    (``used_def_digests``: ``(def_name, digest_hex)`` pairs).  Keying
+    on the imports' schemes, not their sources, is what gives early
+    cutoff: an upstream edit that changes the scheme of a definition
+    this module never mentions — or that changes a body without
+    changing any scheme — leaves this key unchanged, so the module is
+    never re-analysed.
 
     The import *names* still participate (sorted), so adding or
     removing an import always invalidates even when the used-def set
@@ -491,90 +382,3 @@ def module_key_v2(source_bytes, import_names, used_def_digests,
         h.update((digest or "<missing>").encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
-
-
-class InterfaceManager:
-    """Separate analysis driven by content digests.
-
-    Sources live as ``<Module>.mod`` in ``src_dir``; interfaces are kept
-    in ``iface_dir`` as ``<Module>.bti``, each alongside a
-    ``<Module>.bti.key`` sidecar recording the :func:`module_key` it was
-    built from.  ``analyse`` processes modules in dependency order,
-    skipping any module whose recorded key still matches — which is
-    exactly how a library vendor prepares modules "once and for all",
-    and which (unlike timestamps) survives ``touch``, ``git checkout``,
-    and edits that do not change an interface."""
-
-    def __init__(self, src_dir, iface_dir=None):
-        self.src_dir = src_dir
-        self.iface_dir = iface_dir or src_dir
-
-    def source_path(self, module_name):
-        return os.path.join(self.src_dir, module_name + ".mod")
-
-    def interface_path(self, module_name):
-        return os.path.join(self.iface_dir, module_name + INTERFACE_SUFFIX)
-
-    def key_path(self, module_name):
-        return os.path.join(self.iface_dir, module_name + KEY_SUFFIX)
-
-    def current_key(self, module_name, import_names, force_residual=frozenset()):
-        """The module's key as computed from what is on disk right now,
-        or ``None`` when the source or a dep interface is missing."""
-        try:
-            with open(self.source_path(module_name), "rb") as f:
-                source_bytes = f.read()
-        except OSError:
-            return None
-        deps = []
-        for dep in import_names:
-            digest = interface_digest(self.interface_path(dep))
-            if digest is None:
-                return None
-            deps.append((dep, digest))
-        return module_key(source_bytes, deps, force_residual)
-
-    def is_up_to_date(self, module_name, import_names, force_residual=frozenset()):
-        """True when the interface's recorded content key matches the
-        key recomputed from the current source and dep interfaces."""
-        if not os.path.exists(self.interface_path(module_name)):
-            return False
-        try:
-            with open(self.key_path(module_name)) as f:
-                recorded = f.read().strip()
-        except OSError:
-            return False
-        current = self.current_key(module_name, import_names, force_residual)
-        return current is not None and recorded == current
-
-    def analyse(self, linked, force_residual=frozenset(), force=False):
-        """Analyse every out-of-date module of ``linked``; returns
-        ``(schemes, analysed_module_names)``."""
-        os.makedirs(self.iface_dir, exist_ok=True)
-        schemes = {}
-        analysed = []
-        for module_name in linked.topo_order:
-            module = linked.module(module_name)
-            if not force and self.is_up_to_date(
-                module_name, module.imports, force_residual
-            ):
-                _, cached = read_interface(self.interface_path(module_name))
-                schemes.update(cached)
-                continue
-            visible = {}
-            for dep in module.imports:
-                dep_name, dep_schemes = read_interface(self.interface_path(dep))
-                if dep_name != dep:
-                    raise InterfaceError(
-                        "interface file for %s names module %s" % (dep, dep_name)
-                    )
-                visible.update(dep_schemes)
-            analysis = analyse_module(module, visible, force_residual)
-            write_interface(
-                self.interface_path(module_name), module_name, analysis.schemes
-            )
-            key = self.current_key(module_name, module.imports, force_residual)
-            atomic_write_text(self.key_path(module_name), key + "\n")
-            schemes.update(analysis.schemes)
-            analysed.append(module_name)
-        return schemes, analysed

@@ -1,24 +1,23 @@
 """Interface fsck: committed ``*.bti`` files vs re-derived truth.
 
 The separate-analysis workflow (Sec. 4.1) trusts interface files twice:
-a module's artifacts are keyed by the digests of its imports'
-interfaces, and importers are analysed against the schemes those files
-contain.  The digest cache detects *changed* files — it cannot detect a
-file that is simply *wrong* (hand-edited, restored from the wrong
-checkout, or produced by an older analysis).  This pass can:
+a module's artifacts are keyed by the scheme digests of the imported
+definitions it references, and importers are analysed against the
+schemes those files contain.  The digest cache detects *changed*
+schemes — it cannot detect a file that is simply *wrong* (hand-edited,
+restored from the wrong checkout, produced by an older analysis, or
+published before an edit to its source).  This pass can:
 
 * re-derives every module's principal binding-time schemes from source,
   in dependency order, against the *fresh* schemes of its imports —
   never against anything on disk;
 * diffs the committed interface against the re-derivation, per function
   (missing, extra, or differing schemes are each separate findings);
+* checks the file's per-definition digest table against its own
+  schemes (``def_digest_skew``);
 * checks the committed file is the canonical serialisation of its own
   schemes (a non-canonical file breaks the byte-equality-is-semantic-
-  equality property the cache keys rest on);
-* checks each module's recorded content key (the ``.bti.key`` sidecar)
-  still matches the key recomputed from current sources and dep
-  interfaces — the importer-assumption staleness the build would only
-  notice by rebuilding.
+  equality property).
 """
 
 import os
@@ -27,7 +26,6 @@ from repro.bt.analysis import BTAError, analyse_module
 from repro.bt.interface import (
     INTERFACE_SUFFIX,
     InterfaceError,
-    InterfaceManager,
     InterfaceStore,
     interface_text,
 )
@@ -82,12 +80,9 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
     except (LangError, OSError) as exc:
         return [_finding("load", src_dir, str(exc))], 0
 
-    manager = InterfaceManager(src_dir, iface_dir)
-    store = InterfaceStore(iface_dir=manager.iface_dir)
+    store = InterfaceStore(iface_dir or src_dir)
     present = [
-        name
-        for name in linked.topo_order
-        if os.path.exists(manager.interface_path(name))
+        name for name in linked.topo_order if os.path.exists(store.path(name))
     ]
     if not present:
         return [], 0
@@ -98,8 +93,7 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
         return [_finding("analyse", src_dir, str(exc))], 0
 
     for module_name in linked.topo_order:
-        module = linked.module(module_name)
-        path = manager.interface_path(module_name)
+        path = store.path(module_name)
         where = module_name + INTERFACE_SUFFIX
         if not os.path.exists(path):
             findings.append(
@@ -159,7 +153,7 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
                     )
                 )
 
-        # A v2 interface whose stored per-def digest table disagrees
+        # An interface whose stored per-def digest table disagrees
         # with its own schemes is *stale*, not corrupt: the schemes
         # still parse and analyse, but importers keyed on the stored
         # digests saw assumptions the schemes no longer make.
@@ -168,9 +162,7 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
             findings.append(
                 _finding(rule, "%s:%s" % (where, fn), msg)
             )
-        canonical = interface_text(
-            module_name, committed, format=committed_iface.format
-        )
+        canonical = interface_text(module_name, committed)
         if not digest_skew and committed_iface.text != canonical:
             findings.append(
                 _finding(
@@ -180,31 +172,6 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
                     "of its own schemes (byte-equality no longer implies "
                     "semantic equality)",
                     severity=SEVERITY_WARNING,
-                )
-            )
-
-        key_path = manager.key_path(module_name)
-        if not os.path.exists(key_path):
-            findings.append(
-                _finding(
-                    "no-key",
-                    where,
-                    "no recorded content key (%s.bti.key); staleness "
-                    "cannot be established" % module_name,
-                    severity=SEVERITY_WARNING,
-                )
-            )
-        elif not manager.is_up_to_date(
-            module_name, module.imports, force_residual
-        ):
-            findings.append(
-                _finding(
-                    "stale-key",
-                    where,
-                    "recorded content key no longer matches the current "
-                    "source and dep interfaces (the interface predates "
-                    "an edit — importers analysed against it saw stale "
-                    "assumptions)",
                 )
             )
     return findings, len(present)

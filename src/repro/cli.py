@@ -2,9 +2,10 @@
 
 Subcommands mirror the paper's workflow:
 
-* ``mspec analyze DIR``          — separate binding-time analysis of a
-  directory of ``*.mod`` files, writing/refreshing ``*.bti`` interface
-  files (only out-of-date modules are re-analysed).
+* ``mspec analyze DIR [--iface-dir D]`` — separate binding-time
+  analysis of a directory of ``*.mod`` files: the ``build`` pipeline
+  with the default cache, publishing ``*.bti`` interface files and no
+  generating extensions (only out-of-date modules are re-analysed).
 * ``mspec cogen DIR [-o OUT]``   — run the cogen, writing one
   ``*.genext.py`` per module.
 * ``mspec build DIR [--jobs N] [--cache-dir D] [--stats]
@@ -78,7 +79,6 @@ import json
 import sys
 
 from repro.bt.analysis import analyse_program
-from repro.bt.interface import InterfaceManager
 from repro.genext.cogen import cogen_program
 from repro.genext.engine import specialise
 from repro.genext.link import link_genexts, write_genexts
@@ -169,15 +169,31 @@ def _parse_bindings(pairs):
 
 
 def cmd_analyze(args):
-    linked = load_program_dir(args.dir)
-    manager = InterfaceManager(args.dir, args.iface_dir)
-    force_residual = frozenset(args.residual or [])
-    schemes, analysed = manager.analyse(
-        linked, force_residual=force_residual, force=args.force
+    from repro.api import BuildOptions
+    from repro.bt.interface import InterfaceStore
+    from repro.pipeline import BuildError, build_dir
+
+    store = InterfaceStore(args.iface_dir or args.dir)
+    options = BuildOptions(
+        force_residual=frozenset(args.residual or []),
+        iface_dir=store.iface_dir,
     )
-    for name in linked.topo_order:
-        status = "analysed" if name in analysed else "up to date"
-        print("%-20s %s" % (name, status))
+    try:
+        result = build_dir(args.dir, options)
+    except BuildError as e:
+        print(e.report.render(), file=sys.stderr)
+        return e.report.exit_code
+    schemes = {}
+    for wave in result.waves:
+        for name in wave:
+            if name in result.analysed:
+                status = "analysed"
+            elif name in result.incremental:
+                status = "incremental"
+            else:
+                status = "up to date"
+            print("%-20s %s" % (name, status))
+            schemes.update(store.load(store.path(name)).schemes)
     for fname in sorted(schemes):
         print("  %s : %s" % (fname, schemes[fname]))
     return 0
@@ -198,7 +214,6 @@ def cmd_build(args):
         retries=args.retries,
         trace_path=args.trace,
         metrics_path=args.metrics,
-        incremental=not args.no_incremental,
     )
     obs, profiler = _make_obs(args)
     try:
@@ -949,8 +964,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="separate binding-time analysis")
     common(p)
-    p.add_argument("--iface-dir", help="where to keep *.bti files")
-    p.add_argument("--force", action="store_true", help="re-analyse everything")
+    p.add_argument("--iface-dir", help="where to publish *.bti files")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser(
@@ -985,11 +999,6 @@ def build_parser():
         "--retries", type=int, default=0, metavar="N",
         help="retry a failed/hung module up to N times with capped "
         "exponential backoff (default 0)",
-    )
-    p.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable definition-level incremental recompilation; key "
-        "the cache at module granularity (whole dep interfaces)",
     )
     observability(p)
     p.set_defaults(fn=cmd_build)

@@ -23,14 +23,12 @@ from repro.obs.metrics import METRICS_SCHEMA
 
 __all__ = [
     "BENCH_EXEC_TIERS_SCHEMA",
-    "BENCH_INCREMENTAL_SCHEMA",
     "BENCH_SERVE_SCHEMA",
     "BENCH_SOAK_SCHEMA",
     "BENCH_SPEC_THROUGHPUT_SCHEMA",
     "REPORT_SCHEMA",
     "WELL_KNOWN_COUNTERS",
     "validate_bench_exec_tiers",
-    "validate_bench_incremental",
     "validate_bench_serve",
     "validate_bench_soak",
     "validate_bench_spec_throughput",
@@ -47,8 +45,6 @@ BENCH_SPEC_THROUGHPUT_SCHEMA = "repro.bench.spec_throughput/v1"
 BENCH_SERVE_SCHEMA = "repro.bench.serve/v1"
 
 BENCH_SOAK_SCHEMA = "repro.bench.soak/v1"
-
-BENCH_INCREMENTAL_SCHEMA = "repro.bench.incremental/v1"
 
 BENCH_EXEC_TIERS_SCHEMA = "repro.bench.exec_tiers/v1"
 
@@ -410,61 +406,6 @@ def validate_bench_soak(doc):
     return problems
 
 
-def validate_bench_incremental(doc):
-    """Problems with a ``BENCH_incremental.json`` document (empty list =
-    ok).  The document is what ``benchmarks/bench_incremental.py``
-    emits: the chain shape, the cold/warm/incremental timing
-    trajectory, the ``incr.*`` counter evidence, and the byte-identity
-    verdict for incremental-vs-cold artifacts."""
-    if not isinstance(doc, dict):
-        return ["bench document must be a JSON object"]
-    problems = []
-    if doc.get("schema") != BENCH_INCREMENTAL_SCHEMA:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_INCREMENTAL_SCHEMA, doc.get("schema"))
-        )
-    if not isinstance(doc.get("cpus"), int) or doc.get("cpus", 0) < 1:
-        problems.append("cpus must be a positive integer")
-    if not isinstance(doc.get("workload"), dict):
-        problems.append("workload must be an object")
-    if doc.get("identical") is not True:
-        problems.append(
-            "identical must be true (incremental artifacts must be "
-            "byte-identical to a from-scratch build's)"
-        )
-    results = doc.get("results")
-    if not isinstance(results, dict) or not results:
-        problems.append("results must be a non-empty object")
-    else:
-        for name, value in results.items():
-            if not isinstance(name, str):
-                problems.append("results key %r is not a string" % (name,))
-            if (
-                not isinstance(value, _NUMBER)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                problems.append(
-                    "results[%r] must be a non-negative number" % (name,)
-                )
-    counters = doc.get("counters")
-    if not isinstance(counters, dict):
-        problems.append("counters must be an object")
-    else:
-        for name, value in counters.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(
-                    "counters[%r] must be a non-negative integer" % (name,)
-                )
-        if counters.get("defs_cut_off", 0) < 1:
-            problems.append(
-                "counters.defs_cut_off must be >= 1 (the single-def "
-                "edit must demonstrate early cutoff)"
-            )
-    return problems
-
-
 def validate_bench_exec_tiers(doc):
     """Problems with a ``BENCH_exec_tiers.json`` document (empty list =
     ok).  The document is what ``benchmarks/bench_exec_tiers.py``
@@ -566,8 +507,6 @@ def validate_file(path):
         return "bench", validate_bench_serve(doc)
     if isinstance(doc, dict) and doc.get("schema") == BENCH_SOAK_SCHEMA:
         return "bench", validate_bench_soak(doc)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_INCREMENTAL_SCHEMA:
-        return "bench", validate_bench_incremental(doc)
     if isinstance(doc, dict) and doc.get("schema") == BENCH_EXEC_TIERS_SCHEMA:
         return "bench", validate_bench_exec_tiers(doc)
     return "unknown", ["unrecognised document (no known schema marker)"]

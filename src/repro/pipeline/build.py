@@ -16,11 +16,12 @@ that twice:
 
 * **Content-addressed caching** — each module's artifacts (interface,
   genext source, compiled code object) are keyed by
-  :func:`repro.bt.interface.module_key` (SHA-256 of the source plus the
-  imports' interface digests) and stored in an
-  :class:`~repro.pipeline.cache.ArtifactCache`.  A warm no-op rebuild
-  performs zero re-analyses; an edit re-does exactly its dirty cone,
-  with early cutoff wherever an interface comes out byte-identical.
+  :func:`repro.bt.interface.module_key_v2` (SHA-256 of the source plus
+  the scheme digests of the imported definitions it references) and
+  stored in an :class:`~repro.pipeline.cache.ArtifactCache`.  A warm
+  no-op rebuild performs zero re-analyses; an edit re-does exactly its
+  dirty cone, with early cutoff wherever a referenced scheme comes out
+  unchanged.
 
 Determinism: a module's artifacts are a pure function of its source and
 its imports' interfaces, so ``jobs=1`` and ``jobs=N`` produce
@@ -48,13 +49,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.bt.analysis import analyse_module
 from repro.bt.interface import (
     INTERFACE_SUFFIX,
-    KEY_SUFFIX,
     InterfaceError,
     InterfaceStore,
     atomic_write_text,
-    digest_text,
     interface_text,
-    module_key,
     module_key_v2,
 )
 from repro.genext.cogen import (
@@ -348,11 +346,12 @@ class BuildEngine:
     ``src_dir`` holds ``*.mod`` sources (one module per file, file name
     matching the module name).  Artifacts land in ``cache_dir``
     (defaults to ``<src_dir>/.mspec-cache``); when ``iface_dir`` /
-    ``out_dir`` are given, ``*.bti`` (+ ``.bti.key`` sidecars) and
-    ``*.genext.py`` are additionally published there for the classic
-    on-disk vendor workflow.  ``policy`` governs supervision (deadlines,
-    retries, keep-going); the default policy fails fast with no
-    deadline, matching the classic behaviour.
+    ``out_dir`` are given, ``*.bti`` and ``*.genext.py`` are
+    additionally published there for the classic on-disk vendor
+    workflow (``mspec analyze`` publishes the interfaces alone).
+    ``policy`` governs supervision (deadlines, retries, keep-going); the
+    default policy fails fast with no deadline, matching the classic
+    behaviour.
     """
 
     def __init__(self, src_dir, options=None, obs=None):
@@ -435,14 +434,14 @@ class BuildEngine:
 
     # -- building -----------------------------------------------------------
 
-    def _publish(self, name, key, iface, genext_source):
+    def _publish(self, name, iface, genext_source):
         """Mirror one module's artifacts into iface_dir/out_dir (skipping
         byte-identical files so no-op rebuilds do not churn mtimes)."""
 
         def publish_text(path, text):
             try:
-                with open(path) as f:
-                    if f.read() == text:
+                with open(path, "rb") as f:
+                    if f.read() == text.encode("utf-8"):
                         return
             except OSError:
                 pass
@@ -452,9 +451,6 @@ class BuildEngine:
             os.makedirs(self.iface_dir, exist_ok=True)
             publish_text(
                 os.path.join(self.iface_dir, name + INTERFACE_SUFFIX), iface
-            )
-            publish_text(
-                os.path.join(self.iface_dir, name + KEY_SUFFIX), key + "\n"
             )
         if self.out_dir is not None:
             os.makedirs(self.out_dir, exist_ok=True)
@@ -523,9 +519,7 @@ class BuildEngine:
         # The per-def rebuild path is bypassed while a fault plan is
         # armed: it runs analyse/cogen in the *parent*, where an
         # injected crash would kill the build instead of a worker.
-        incremental_on = (
-            self.options.incremental and faultinject.active_plan() is None
-        )
+        incremental_on = faultinject.active_plan() is None
         prev_refs = self.cache.read_refs()  # module -> last build's key
         changed = set()  # modules whose interface changed vs. last build
         rebuilds = {}  # name -> ModuleRebuild
@@ -607,28 +601,17 @@ class BuildEngine:
                                 skipped[name] = root
                                 stats.note_skipped(name)
                                 continue
-                            if self.options.incremental:
-                                # Def-level keying: the key reads only
-                                # the digests of the imported defs the
-                                # module references, so an upstream
-                                # scheme change it never looks at
-                                # cannot miss it.
-                                _, digests = dep_maps(src)
-                                key = module_key_v2(
-                                    src.text.encode("utf-8"),
-                                    src.imports,
-                                    used_import_digests(src.module, digests),
-                                    self.force_residual,
-                                )
-                            else:
-                                key = module_key(
-                                    src.text.encode("utf-8"),
-                                    [
-                                        (dep, digest_text(ifaces[dep].text))
-                                        for dep in src.imports
-                                    ],
-                                    self.force_residual,
-                                )
+                            # Def-level keying: the key reads only the
+                            # digests of the imported defs the module
+                            # references, so an upstream scheme change
+                            # it never looks at cannot miss it.
+                            _, digests = dep_maps(src)
+                            key = module_key_v2(
+                                src.text.encode("utf-8"),
+                                src.imports,
+                                used_import_digests(src.module, digests),
+                                self.force_residual,
+                            )
                             keys[name] = key
                             order.append(name)
                             iface_text_ = self.cache.get_text(key, IFACE_KIND)
@@ -775,24 +758,7 @@ class BuildEngine:
 
         with _stage(stats, tracer, "publish"):
             for name in order:
-                # The .bti.key sidecar speaks the classic vendor
-                # protocol: InterfaceManager recomputes a v1 module_key
-                # from what is on disk, so that is what gets recorded —
-                # regardless of which keying the cache itself used.
-                # Without an iface_dir there is no sidecar to write.
-                sidecar_key = None
-                if self.iface_dir is not None:
-                    sidecar_key = module_key(
-                        sources[name].text.encode("utf-8"),
-                        [
-                            (dep, digest_text(ifaces[dep].text))
-                            for dep in sources[name].imports
-                        ],
-                        self.force_residual,
-                    )
-                self._publish(
-                    name, sidecar_key, ifaces[name].text, genexts[name].source
-                )
+                self._publish(name, ifaces[name].text, genexts[name].source)
         if order:
             # Advance the refs so the *next* build can find this one's
             # per-def records even after an edit changes every key.  A

@@ -2,7 +2,7 @@
 
 Artifacts (binding-time interfaces, generating-extension sources,
 compiled code objects) are filed under the SHA-256 *build key* of the
-module they belong to (:func:`repro.bt.interface.module_key`) plus a
+module they belong to (:func:`repro.bt.interface.module_key_v2`) plus a
 short ``kind`` tag:
 
     <root>/objects/<key[:2]>/<key>.<kind>

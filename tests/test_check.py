@@ -20,9 +20,9 @@ import shutil
 import pytest
 
 from repro.anno.ast import ACoerce, AExpr, walk_aexpr
+from repro.api import BuildOptions
 from repro.bt.analysis import analyse_program
 from repro.bt.bt import D, S
-from repro.bt.interface import InterfaceManager
 from repro.check import EXIT_CHECK_FAILED, run_check
 from repro.check.diff import DIFF_FUEL, minimise_case, run_case
 from repro.check.driver import case_from_bundle, replay
@@ -31,7 +31,6 @@ from repro.check.lint import lint_aprogram, lint_linked
 from repro.check.ifaces import check_interfaces
 from repro.check.report import (
     CHECK_BUNDLE_SCHEMA,
-    CheckReport,
     Finding,
     make_bundle,
     read_bundle,
@@ -44,6 +43,7 @@ from repro.genext.link import link_genexts
 from repro.interp import run_program
 from repro.lang.pretty import pretty_program
 from repro.modsys.program import load_program, load_program_dir
+from repro.pipeline import build_dir
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "seed*.json")))
@@ -82,9 +82,8 @@ def src_dir(tmp_path):
 
 @pytest.fixture
 def analysed_dir(src_dir):
-    """A source dir with freshly analysed ``*.bti`` + key sidecars."""
-    manager = InterfaceManager(src_dir)
-    manager.analyse(load_program_dir(src_dir))
+    """A source dir with freshly published ``*.bti`` files."""
+    build_dir(src_dir, BuildOptions(iface_dir=src_dir))
     return src_dir
 
 
@@ -320,7 +319,7 @@ class TestInterfaceFsck:
 
     def test_skewed_interface_detected(self, analysed_dir):
         """Hand-edit one binding time inside ``Power.bti``: the fsck
-        must flag the skew and the importer's now-stale key."""
+        must flag the skew."""
         path = os.path.join(analysed_dir, "Power.bti")
         with open(path) as f:
             doc = json.load(f)
@@ -361,12 +360,21 @@ class TestInterfaceFsck:
         non_canon = [f for f in findings if f.rule == "non-canonical"]
         assert non_canon and non_canon[0].severity == "warning"
 
-    def test_missing_key_sidecar_is_warning(self, analysed_dir):
-        os.remove(os.path.join(analysed_dir, "Power.bti.key"))
-        findings, _ = check_interfaces(analysed_dir)
-        assert any(f.rule == "no-key" for f in findings)
-        report = CheckReport().extend(findings)
-        assert report.ok  # warnings alone never fail the run
+    def test_source_edited_after_publishing_is_scheme_skew(
+        self, analysed_dir
+    ):
+        """Interfaces published before an edit that moves a scheme: the
+        re-derivation from the edited source disagrees with the edited
+        module's interface and with its importer's, which was analysed
+        against the old scheme."""
+        with open(os.path.join(analysed_dir, "Power.mod"), "w") as f:
+            f.write("module Power where\n\npower n x = x\n")
+        findings, checked = check_interfaces(analysed_dir)
+        assert checked == 2
+        assert sorted((f.rule, f.where) for f in findings) == [
+            ("scheme-skew", "Main.bti:main"),
+            ("scheme-skew", "Power.bti:power"),
+        ]
 
     def test_corrupt_interface_detected(self, analysed_dir):
         path = os.path.join(analysed_dir, "Power.bti")
@@ -374,6 +382,15 @@ class TestInterfaceFsck:
             f.write("{ not json")
         findings, _ = check_interfaces(analysed_dir)
         assert any(f.rule == "corrupt-interface" for f in findings)
+
+    def test_non_utf8_interface_is_corrupt(self, analysed_dir):
+        path = os.path.join(analysed_dir, "Main.bti")
+        with open(path, "wb") as f:
+            f.write(b"\xff\xfe\x00garbage")
+        findings, _ = check_interfaces(analysed_dir)
+        corrupt = [f for f in findings if f.rule == "corrupt-interface"]
+        assert [f.where for f in corrupt] == ["Main.bti"]
+        assert "Main.bti" in corrupt[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,19 @@ def test_analyze_writes_interfaces(project, capsys):
     out = capsys.readouterr().out
     assert "Power" in out and "analysed" in out
     assert os.path.exists(os.path.join(project, "Power.bti"))
+    assert not [f for f in os.listdir(project) if f.endswith(".key")]
     # Second run: everything up to date.
     main(["analyze", project])
     out = capsys.readouterr().out
     assert "up to date" in out
+
+
+def test_analyze_reports_a_parse_error_like_build(project, capsys):
+    with open(os.path.join(project, "Main.mod"), "a") as f:
+        f.write("@@@\n")
+    assert main(["analyze", project]) == 3
+    err = capsys.readouterr().err
+    assert "Main" in err and "ParseError" in err
 
 
 def test_cogen_writes_genexts(project, capsys):

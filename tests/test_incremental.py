@@ -1,6 +1,6 @@
 """Definition-level incremental recompilation: early cutoff, byte
-identity against from-scratch builds, v1 interface compatibility, the
-InterfaceStore facade, and the def_digest_skew finding."""
+identity against from-scratch builds, the InterfaceStore facade, and
+the def_digest_skew finding."""
 
 import json
 import os
@@ -12,7 +12,6 @@ from repro.api import BuildOptions
 from repro.bt.interface import (
     InterfaceStore,
     interface_text,
-    read_interface,
     scheme_digest,
 )
 from repro.bt.scheme import BTScheme
@@ -169,22 +168,6 @@ def test_structural_change_falls_back_to_full_analysis(tmp_path):
     assert result.stats.as_dict()["incremental_fallbacks"] == 1
 
 
-def test_incremental_false_keys_at_module_granularity(tmp_path):
-    sources = _chain(4)
-    _write_all(tmp_path, sources)
-    cache = str(tmp_path / "cache")
-    off = BuildOptions(cache_dir=cache, incremental=False)
-    build_dir(str(tmp_path), off)
-    _write(tmp_path, "M0", "-- tweaked\n" + sources["M0"])
-    result = build_dir(str(tmp_path), off)
-    assert result.analysed == ["M0"], "no per-def path with incremental=False"
-    assert result.incremental == []
-    assert result.rebuild.incremental is False
-    # Module-level early cutoff still holds: the interface is
-    # unchanged, so the dependents stay cached.
-    assert sorted(result.cached) == ["M1", "M2", "M3"]
-
-
 def test_rebuild_report_shape(tmp_path):
     sources = _chain(3)
     _write_all(tmp_path, sources)
@@ -215,16 +198,6 @@ def test_cli_json_carries_the_rebuild_report(tmp_path, capsys):
     assert rebuild["modules"][0]["module"] == "Power"
     # And the stats view carries the incr.* counters.
     assert doc["report"]["stats"]["defs_cut_off"] == 0
-
-
-def test_incremental_false_cold_build(tmp_path):
-    _write(tmp_path, "Power", POWER)
-    result = build_dir(
-        str(tmp_path),
-        BuildOptions(cache_dir=str(tmp_path / "cache"), incremental=False),
-    )
-    assert result.analysed == ["Power"]
-    assert result.rebuild.incremental is False
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +306,7 @@ def test_corpus_edit_residuals_agree_with_cold_build(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Interface formats: v1 compatibility, the store facade, digest skew.
+# The interface store facade and digest skew.
 # ---------------------------------------------------------------------------
 
 
@@ -349,28 +322,6 @@ def _power_schemes(tmp_path):
     return iface.schemes
 
 
-def test_v1_interface_still_round_trips(tmp_path):
-    schemes = _power_schemes(tmp_path)
-    v1_text = interface_text("Power", schemes, format=1)
-    assert '"format": 1' in v1_text
-    assert "digests" not in v1_text
-    path = str(tmp_path / "Power.bti")
-    with open(path, "w") as f:
-        f.write(v1_text)
-    # The legacy reader and the store agree on a v1 file.
-    name, read_back = read_interface(path)
-    assert name == "Power" and read_back == schemes
-    store = InterfaceStore(iface_dir=str(tmp_path))
-    iface = store.load_module("Power")
-    assert iface.format == 1
-    assert iface.stored_digests is None
-    assert iface.schemes == schemes
-    # Digests are derived even for v1, so def-level callers never
-    # branch on the format.
-    assert iface.digest_of_def("power") == scheme_digest(schemes["power"])
-    assert store.verify(iface) == []
-
-
 def test_store_detects_def_digest_skew(tmp_path):
     schemes = _power_schemes(tmp_path)
     payload = json.loads(interface_text("Power", schemes))
@@ -382,7 +333,7 @@ def test_store_detects_def_digest_skew(tmp_path):
     assert [p[0] for p in problems] == ["def_digest_skew"]
     assert problems[0][1] == "power"
     # The derived digest (not the stored one) is authoritative.
-    assert iface.digest_of_def("power") == scheme_digest(schemes["power"])
+    assert iface.digests["power"] == scheme_digest(schemes["power"])
 
 
 def test_check_reports_def_digest_skew(tmp_path):

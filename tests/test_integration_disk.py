@@ -9,13 +9,12 @@ import os
 import pytest
 
 import repro
-from repro.bt.interface import InterfaceManager
 from repro.genext.cogen import cogen_program
 from repro.genext.link import load_genext_dir, write_genexts
 from repro.interp import run_program
 from repro.modsys.program import load_program_dir
 from repro.residual.emit import TwoPassEmitter, emit_program_dir
-from repro.api import SpecOptions
+from repro.api import BuildOptions, SpecOptions
 
 LIB = """\
 module Lib where
@@ -47,13 +46,12 @@ def test_full_disk_pipeline(project):
     out_dir = str(project / "residual")
 
     # 1. Separate analysis with interface files on disk.
-    linked = load_program_dir(src_dir)
-    manager = InterfaceManager(src_dir)
-    schemes, analysed = manager.analyse(linked)
-    assert analysed == ["Lib", "App"]
+    built = repro.build_dir(src_dir, BuildOptions(iface_dir=src_dir))
+    assert built.analysed == ["Lib", "App"]
     assert (project / "src" / "Lib.bti").exists()
 
     # 2. Cogen to disk.
+    linked = load_program_dir(src_dir)
     analysis = repro.analyse_program(linked)
     write_genexts(cogen_program(analysis), dist_dir)
     assert sorted(os.listdir(dist_dir)) == ["App.genext.py", "Lib.genext.py"]
@@ -77,13 +75,12 @@ def test_full_disk_pipeline(project):
 
 def test_incremental_edit_only_reanalyses_app(project):
     src_dir = str(project / "src")
-    linked = load_program_dir(src_dir)
-    manager = InterfaceManager(src_dir)
-    manager.analyse(linked)
+    options = BuildOptions(iface_dir=src_dir)
+    repro.build_dir(src_dir, options)
     # Edit App only (content change; a mere touch would re-do nothing).
     (project / "src" / "App.mod").write_text(APP + "alt y = power 2 y\n")
-    _, analysed = manager.analyse(load_program_dir(src_dir))
-    assert analysed == ["App"]
+    rebuilt = repro.build_dir(src_dir, options)
+    assert rebuilt.analysed + rebuilt.incremental == ["App"]
 
 
 def test_residual_emission_roundtrip_machine_compiler(tmp_path):

@@ -1,23 +1,24 @@
-"""Binding-time interface files: serialisation round-trips and the
-separate-analysis manager (content-digest invalidation)."""
+"""Binding-time interface files: serialisation round-trips, the module
+key, and separate analysis through the build engine (content-digest
+invalidation)."""
 
 import json
 import os
 
 import pytest
 
+from repro.api import BuildOptions
 from repro.bt.analysis import analyse_program
 from repro.bt.interface import (
     InterfaceError,
-    InterfaceManager,
-    interface_digest,
-    module_key,
+    module_key_v2,
     read_interface,
     scheme_from_json,
     scheme_to_json,
     write_interface,
 )
 from repro.modsys.program import load_program, load_program_dir
+from repro.pipeline import build_dir
 
 LIB = "module Lib where\n\npower n x = if n == 1 then x else x * power (n - 1) x\nident x = x\n"
 APP = "module App where\nimport Lib\n\ncube y = power 3 y\n"
@@ -82,10 +83,10 @@ def test_truncated_interface_rejected(tmp_path):
     [
         "[1, 2, 3]",  # valid JSON, wrong top-level shape
         '"just a string"',
-        '{"format": 1, "schemes": {}}',  # module missing
-        '{"format": 1, "module": "X"}',  # schemes missing
-        '{"format": 1, "module": "X", "schemes": []}',  # schemes wrong type
-        '{"format": 1, "module": "X", "schemes": {"f": {"args": "?"}}}',
+        '{"format": 2, "schemes": {}}',  # module missing
+        '{"format": 2, "module": "X"}',  # schemes missing
+        '{"format": 2, "module": "X", "schemes": []}',  # schemes wrong type
+        '{"format": 2, "module": "X", "schemes": {"f": {"args": "?"}}}',
     ],
 )
 def test_structurally_wrong_interface_rejected(tmp_path, payload):
@@ -97,9 +98,12 @@ def test_structurally_wrong_interface_rejected(tmp_path, payload):
 
 def test_wrong_format_version_rejected(tmp_path):
     path = str(tmp_path / "Bad.bti")
-    (tmp_path / "Bad.bti").write_text('{"format": 999, "module": "X", "schemes": {}}')
-    with pytest.raises(InterfaceError):
-        read_interface(path)
+    for version in (999, 1):
+        (tmp_path / "Bad.bti").write_text(
+            '{"format": %d, "module": "X", "schemes": {}}' % version
+        )
+        with pytest.raises(InterfaceError, match="unsupported interface format"):
+            read_interface(path)
 
 
 def test_write_interface_is_atomic(tmp_path, monkeypatch):
@@ -143,17 +147,17 @@ def test_interface_serialisation_is_canonical(tmp_path):
     write_interface(a, "Lib", schemes)
     write_interface(b, "Lib", dict(reversed(list(schemes.items()))))
     assert open(a).read() == open(b).read()
-    assert interface_digest(a) == interface_digest(b)
 
 
-def test_module_key_sensitivity():
-    key = module_key(b"src", [("A", "d1"), ("B", "d2")])
-    assert key == module_key(b"src", [("B", "d2"), ("A", "d1")]), "order-free"
-    assert key != module_key(b"src2", [("A", "d1"), ("B", "d2")])
-    assert key != module_key(b"src", [("A", "XX"), ("B", "d2")])
-    assert key != module_key(b"src", [("A", "d1")])
-    assert key != module_key(b"src", [("A", "d1"), ("B", "d2")], {"f"})
-    assert key != module_key(b"src", [("A", None), ("B", "d2")])
+def test_module_key_v2_is_pinned():
+    """A module hashes the same bytes it always has, so build artifacts
+    cached by earlier releases stay warm."""
+    key = module_key_v2(
+        APP.encode("utf-8"), ("Lib",), [("power", "ab" * 32)], {"cube"}
+    )
+    assert key == (
+        "5b1e045c3316be1b363307d7bab7b682c6c65a78f0b4d647a321c09fc6cb6301"
+    )
 
 
 def _write_sources(tmp_path):
@@ -161,11 +165,22 @@ def _write_sources(tmp_path):
     (tmp_path / "App.mod").write_text(APP)
 
 
+def _analyse(tmp_path, cache_dir=None):
+    """Bring every ``*.bti`` in ``tmp_path`` up to date, as ``mspec
+    analyze`` does; returns ``(schemes, modules re-analysed)``."""
+    result = build_dir(
+        str(tmp_path), BuildOptions(cache_dir=cache_dir, iface_dir=str(tmp_path))
+    )
+    schemes = {}
+    for m in result.rebuild.modules:
+        schemes.update(read_interface(str(tmp_path / (m.module + ".bti")))[1])
+    analysed = [m.module for m in result.rebuild.modules if m.action != "cached"]
+    return schemes, analysed
+
+
 def test_manager_analyses_in_dependency_order(tmp_path):
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    schemes, analysed = manager.analyse(linked)
+    schemes, analysed = _analyse(tmp_path)
     assert analysed == ["Lib", "App"]
     assert set(schemes) == {"power", "ident", "cube"}
     assert os.path.exists(str(tmp_path / "Lib.bti"))
@@ -174,33 +189,32 @@ def test_manager_analyses_in_dependency_order(tmp_path):
 
 def test_manager_skips_up_to_date_modules(tmp_path):
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    manager.analyse(linked)
-    _, analysed = manager.analyse(linked)
+    _analyse(tmp_path)
+    _, analysed = _analyse(tmp_path)
     assert analysed == []
 
 
 def test_manager_reanalyses_on_source_change(tmp_path):
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    manager.analyse(linked)
+    _analyse(tmp_path)
     (tmp_path / "App.mod").write_text(APP + "quad y = power 4 y\n")
-    linked = load_program_dir(str(tmp_path))
-    _, analysed = manager.analyse(linked)
+    _, analysed = _analyse(tmp_path)
     assert analysed == ["App"]
 
 
 def test_manager_reanalyses_importers_when_library_interface_changes(tmp_path):
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    manager.analyse(linked)
-    # A new export changes Lib's interface, so App's key changes too.
+    _analyse(tmp_path)
+    # A new export changes Lib's interface, but App's key reads only
+    # the scheme of the one definition it calls: App stays cached.
     (tmp_path / "Lib.mod").write_text(LIB + "twice x = x + x\n")
-    linked = load_program_dir(str(tmp_path))
-    _, analysed = manager.analyse(linked)
+    _, analysed = _analyse(tmp_path)
+    assert analysed == ["Lib"]
+    # A new scheme for power changes App's key too.
+    (tmp_path / "Lib.mod").write_text(
+        "module Lib where\n\npower n x = x\nident x = x\n"
+    )
+    _, analysed = _analyse(tmp_path)
     assert analysed == ["Lib", "App"]
 
 
@@ -208,30 +222,25 @@ def test_manager_ignores_touch(tmp_path):
     """Timestamps are irrelevant: utime without a content change (touch,
     fresh checkout) must not re-analyse anything."""
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    manager.analyse(linked)
+    _analyse(tmp_path)
     import time
 
     future = time.time() + 100
     os.utime(str(tmp_path / "Lib.mod"), (future, future))
     os.utime(str(tmp_path / "App.mod"), (future, future))
-    _, analysed = manager.analyse(linked)
+    _, analysed = _analyse(tmp_path)
     assert analysed == []
 
 
 def test_early_cutoff_stops_propagation_at_unchanged_interface(tmp_path):
     """Editing Lib in a way that leaves its *interface* byte-identical
     (a comment) re-analyses Lib but — early cutoff — not App, because
-    App's key is built from Lib's interface digest, not Lib's source."""
+    App's key is built from Lib's scheme digests, not Lib's source."""
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    manager.analyse(linked)
+    _analyse(tmp_path)
     iface_before = open(str(tmp_path / "Lib.bti")).read()
     (tmp_path / "Lib.mod").write_text("-- a comment\n" + LIB)
-    linked = load_program_dir(str(tmp_path))
-    _, analysed = manager.analyse(linked)
+    _, analysed = _analyse(tmp_path)
     assert analysed == ["Lib"], "the edit dirties Lib alone"
     assert open(str(tmp_path / "Lib.bti")).read() == iface_before
     # And the transitive case: a *semantic* Lib change must still reach
@@ -239,36 +248,35 @@ def test_early_cutoff_stops_propagation_at_unchanged_interface(tmp_path):
     (tmp_path / "Top.mod").write_text(
         "module Top where\nimport App\n\nmain z = cube z + 1\n"
     )
-    linked = load_program_dir(str(tmp_path))
-    _, analysed = manager.analyse(linked)
+    _, analysed = _analyse(tmp_path)
     assert analysed == ["Top"]
     (tmp_path / "Lib.mod").write_text(LIB + "cubeof x = x * x * x\n")
-    linked = load_program_dir(str(tmp_path))
-    _, analysed = manager.analyse(linked)
-    # Lib's interface changed -> App re-analysed; App's interface is
-    # byte-identical (its schemes are unchanged) -> Top is cut off.
-    assert analysed == ["Lib", "App"]
-    # But when the middle interface *does* change, propagation reaches
-    # the importer-of-an-importer.
-    (tmp_path / "App.mod").write_text(APP + "quad y = power 4 y\n")
-    linked = load_program_dir(str(tmp_path))
-    _, analysed = manager.analyse(linked)
+    _, analysed = _analyse(tmp_path)
+    # Lib's interface changed, but App references no new definition:
+    # the cutoff is at App's import, so App and Top stay cached.
+    assert analysed == ["Lib"]
+    # When a scheme the middle module exports, and Top uses, changes,
+    # propagation reaches the importer-of-an-importer.
+    (tmp_path / "App.mod").write_text(APP.replace("power 3 y", "27"))
+    _, analysed = _analyse(tmp_path)
     assert analysed == ["App", "Top"]
 
 
 def test_manager_matches_whole_program_analysis(tmp_path):
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    schemes, _ = manager.analyse(linked)
-    whole = analyse_program(linked).schemes
+    schemes, _ = _analyse(tmp_path)
+    whole = analyse_program(load_program_dir(str(tmp_path))).schemes
     assert schemes == whole
 
 
 def test_manager_force_reanalyses_everything(tmp_path):
+    """Re-analysing everything means a fresh cache, and it rewrites no
+    interface byte."""
     _write_sources(tmp_path)
-    linked = load_program_dir(str(tmp_path))
-    manager = InterfaceManager(str(tmp_path))
-    manager.analyse(linked)
-    _, analysed = manager.analyse(linked, force=True)
+    _analyse(tmp_path)
+    before = {m: (tmp_path / (m + ".bti")).read_bytes() for m in ("Lib", "App")}
+    _, analysed = _analyse(tmp_path, cache_dir=str(tmp_path / "fresh"))
     assert analysed == ["Lib", "App"]
+    assert before == {
+        m: (tmp_path / (m + ".bti")).read_bytes() for m in ("Lib", "App")
+    }

@@ -118,40 +118,45 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path):
     assert cache.get_text(key, IFACE_KIND) is not None
 
 
-def test_published_artifacts_and_no_temp_droppings(tmp_path):
+def test_published_artifacts_and_no_temp_droppings(tmp_path, capsys):
+    from repro.cli import main
+
     src = tmp_path / "src"
     src.mkdir()
     _write(src, "Power", POWER)
     _write(src, "Main", MAIN)
     iface_dir = str(tmp_path / "iface")
     out_dir = str(tmp_path / "out")
-    build_dir(
-        str(src),
-        BuildOptions(
-            cache_dir=str(tmp_path / "cache"),
-            iface_dir=iface_dir,
-            out_dir=out_dir,
-        ),
-    )
-    assert sorted(os.listdir(iface_dir)) == [
-        "Main.bti",
-        "Main.bti.key",
-        "Power.bti",
-        "Power.bti.key",
-    ]
+    build_dir(str(src), BuildOptions(iface_dir=iface_dir, out_dir=out_dir))
+    assert sorted(os.listdir(iface_dir)) == ["Main.bti", "Power.bti"]
     assert sorted(os.listdir(out_dir)) == ["Main.genext.py", "Power.genext.py"]
     for root, _, files in os.walk(str(tmp_path)):
         for f in files:
             assert not f.startswith(".tmp."), "temp file leaked: %s" % f
 
-    # The published interfaces satisfy the classic manager: analyze
-    # after build is a no-op.
-    from repro.bt.interface import InterfaceManager
+    # analyze after build is a no-op: same default cache, same keys.
+    assert main(["analyze", str(src), "--iface-dir", iface_dir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[:2]] == [
+        ["Power", "up", "to", "date"],
+        ["Main", "up", "to", "date"],
+    ]
+    assert sorted(os.listdir(iface_dir)) == ["Main.bti", "Power.bti"]
 
-    linked = repro.load_program_dir(str(src))
-    manager = InterfaceManager(str(src), iface_dir)
-    _, analysed = manager.analyse(linked)
-    assert analysed == []
+
+def test_non_utf8_published_interface_is_republished(tmp_path):
+    _write(tmp_path, "Power", POWER)
+    _write(tmp_path, "Main", MAIN)
+    options = BuildOptions(
+        cache_dir=str(tmp_path / "cache"), iface_dir=str(tmp_path)
+    )
+    build_dir(str(tmp_path), options)
+    published = tmp_path / "Main.bti"
+    good = published.read_bytes()
+    published.write_bytes(b"\xff\xfe\x00garbage")
+    result = build_dir(str(tmp_path), options)
+    assert result.cached == ["Power", "Main"]
+    assert published.read_bytes() == good
 
 
 def test_build_matches_classic_pipeline_and_specialises(tmp_path):
