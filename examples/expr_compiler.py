@@ -90,7 +90,7 @@ def main():
     print("== Run-time code generation: straight to a Python callable ==")
     fn = generate(gp, "run", {"prog": (var(0), var(0), MUL, push(1), ADD)})
     print("# compiled Python:")
-    print(fn.python_source.split("# module")[1].strip())
+    print(fn.source.split("# module")[1].strip())
     print("fn([6]) =", fn((6,)), "(expected 37)")
 
 

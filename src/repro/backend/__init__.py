@@ -8,19 +8,18 @@ as the "native" target:
 
 * :mod:`repro.backend.pyemit` — a code generator from object-language
   programs (typically residual programs) to Python source;
-* :mod:`repro.backend.rtcg` — run-time code generation: specialise,
-  compile the residual program to Python, and hand back a callable, all
-  in one step; as the paper notes, in this mode the residual program
-  never needs to be divided into modules;
 * :mod:`repro.backend.tiers` — the three-tier execution ladder:
   hotness-promoted goals climb interpret → residual-interpret →
   compiled, with the compiled artifact persisted in the speccache
-  store (see docs/performance.md, "Execution tiers").
+  store (see docs/performance.md, "Execution tiers").  Its
+  :func:`~repro.backend.tiers.generate` is run-time code generation in
+  one step: specialise, compile the residual program to Python, and
+  hand back the ladder's tier-2 callable; as the paper notes, in this
+  mode the residual program never needs to be divided into modules.
 """
 
 from repro.backend.pyemit import CompiledProgram, compile_program, emit_python
-from repro.backend.rtcg import generate
-from repro.backend.tiers import TierLadder, TierPolicy, TierRun
+from repro.backend.tiers import TierLadder, TierPolicy, TierRun, generate
 
 __all__ = [
     "CompiledProgram",

@@ -2,20 +2,23 @@
 
 The paper's economics (Sec. 8, via LL94) end at *lowering*: a residual
 program only beats the general one decisively once it stops being
-interpreted.  :mod:`repro.backend.rtcg` compiles residuals, but its LRU
-is process-local — every daemon worker, every batch run, every fresh
-process re-parses ``resid.json`` and re-``compile()``s from scratch.
-This module closes that gap with a hotness-driven ladder over three
-execution tiers and a *persistent* compiled artifact next to the
-cached residual payload:
+interpreted.  This module is that lowering, done once per
+(fingerprint, goal, static-args) and kept: a hotness-driven ladder over
+three execution tiers and a *persistent* compiled artifact next to the
+cached residual payload, so no daemon worker, batch run or fresh
+process re-parses ``resid.json`` and re-``compile()``s a hot goal:
 
 * **tier 0** — interpret the general program (cold goals; no
   specialisation run at all);
 * **tier 1** — specialise (or hit the residual cache) and interpret
-  the residual program: today's path;
+  the residual program;
 * **tier 2** — emit the residual as a real Python module via
   :mod:`repro.backend.pyemit`, ``compile()`` it, and run the entry
   natively.
+
+:func:`generate` is run-time code generation in one step — specialise,
+compile, hand back the tier-2 callable — through the same tier-2 path
+(:meth:`TierLadder.compiled`), memo and artifacts included.
 
 Tier-2 artifacts are stored in the speccache object store under the
 same :func:`~repro.speccache.residual_cache_key` as ``resid.json``:
@@ -55,6 +58,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.backend.pyemit import _mangle, emit_python, mangle_table
+from repro.lru import LruMemo
 from repro.pipeline.cache import ArtifactCache, CODE_KIND, RESID_PY_KIND
 
 __all__ = [
@@ -66,6 +70,7 @@ __all__ = [
     "TierRun",
     "clear_tiers",
     "emit_source",
+    "generate",
     "load_compiled",
     "note_warm",
     "parse_source_header",
@@ -91,12 +96,10 @@ class TierPolicy:
     tier 1 while ``count < hot_after``, and is promoted to tier 2 at
     ``count >= hot_after``.  The defaults reproduce today's behaviour
     for the first requests (specialise immediately) and compile on the
-    third.  ``persist=False`` keeps promotions process-local (no store
-    writes)."""
+    third."""
 
     warm_after: int = 1
     hot_after: int = 3
-    persist: bool = True
 
     def __post_init__(self):
         if self.warm_after < 0:
@@ -129,18 +132,17 @@ class TierRun:
 #
 # Shared across ladders (the daemon rebuilds its ladder on relink; the
 # batch driver has no ladder object at all) and probed from concurrent
-# request-handler threads, so both structures take their lock for every
-# structural operation.  The expensive work — specialising, emitting,
-# compiling — happens outside the locks.
+# request-handler threads.  The hotness table keeps its own lock, held
+# across its read-modify-write increment; the memo is an ``LruMemo``.
+# The expensive work — specialising, emitting, compiling — happens
+# outside the locks.
 # ---------------------------------------------------------------------------
 
 _HOT_CAPACITY = 4096
 _HOTNESS = OrderedDict()  # key -> request count, most-recent last
 _HOT_LOCK = threading.Lock()
 
-_MEMO_CAPACITY = 128
-_MEMO = OrderedDict()  # key -> TierFunction, most-recent last
-_MEMO_LOCK = threading.Lock()
+_MEMO = LruMemo(128)  # key -> TierFunction
 
 
 def _bump(key):
@@ -153,29 +155,12 @@ def _bump(key):
         return n
 
 
-def _memo_get(key):
-    with _MEMO_LOCK:
-        fn = _MEMO.get(key)
-        if fn is not None:
-            _MEMO.move_to_end(key)
-        return fn
-
-
-def _memo_put(key, fn):
-    with _MEMO_LOCK:
-        _MEMO[key] = fn
-        _MEMO.move_to_end(key)
-        while len(_MEMO) > _MEMO_CAPACITY:
-            _MEMO.popitem(last=False)
-
-
 def clear_tiers():
     """Drop every hotness counter and memoised callable (test
     isolation; also how a "cold restart" is simulated in-process)."""
     with _HOT_LOCK:
         _HOTNESS.clear()
-    with _MEMO_LOCK:
-        _MEMO.clear()
+    _MEMO.clear()
 
 
 def _count(obs, name, n=1):
@@ -424,22 +409,24 @@ def _persist(store, key, fn, code_bytes):
     store.put_bytes(key, CODE_KIND, code_bytes)
 
 
-def _promote(store, key, result, policy, obs, goal):
-    """Compile ``result``, persist the artifacts (policy permitting),
-    memoise, release its decoded residual, and account the promotion."""
+def _promote(store, key, result, obs, goal):
+    """Compile ``result``, persist the artifacts and memoise (when it
+    has a key), release its decoded residual, and account the
+    promotion."""
     from repro.speccache import release_decoded
 
     fn, code_bytes = _compile_result(result, obs=obs)
     release_decoded(result.program)
-    if store is not None and policy.persist:
+    persisted = store is not None and key is not None
+    if persisted:
         _persist(store, key, fn, code_bytes)
     if key is not None:
-        _memo_put(key, fn)
+        _MEMO.put(key, fn)
     _count(obs, "tier.promotions")
     if obs is not None:
         obs.bus.emit(
             "tier.promote", goal=goal, key=key, origin=fn.origin,
-            persisted=bool(store is not None and policy.persist),
+            persisted=persisted,
         )
     return fn
 
@@ -460,14 +447,14 @@ def note_warm(cache, key, goal, options, obs=None, result=None, payload=None):
     count = _bump(key)
     if count < policy.hot_after:
         return None
-    fn = _memo_get(key)
+    fn = _MEMO.get(key)
     if fn is not None:
         return fn
     store = getattr(cache, "store", cache)
     if store is not None and store.has(key, CODE_KIND):
         fn = load_compiled(store, key, obs=obs)
         if fn is not None:
-            _memo_put(key, fn)
+            _MEMO.put(key, fn)
             return fn
     if result is None and payload is not None:
         from repro.speccache import decode_result
@@ -475,7 +462,7 @@ def note_warm(cache, key, goal, options, obs=None, result=None, payload=None):
         result = decode_result(payload, obs=obs)
     if result is None:
         return None
-    return _promote(store, key, result, policy, obs, goal)
+    return _promote(store, key, result, obs, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +503,18 @@ class TierLadder:
         if store is None and self.options.cache_dir is not None:
             store = ArtifactCache(self.options.cache_dir)
         self.store = store
+        # Like the residual cache, a run with a sink (its definitions
+        # streamed to the caller) has no caching identity.
         fingerprint = getattr(gp, "fingerprint", None)
-        self._fingerprint = fingerprint() if callable(fingerprint) else None
+        if not callable(fingerprint) or self.options.sink is not None:
+            self._fingerprint = None
+        else:
+            self._fingerprint = fingerprint()
 
     def key_for(self, goal, static_args):
         """The residual cache key of one request (``None`` when the
-        program has no fingerprint — no caching identity, no ladder)."""
+        program has no fingerprint or the run has a sink — no caching
+        identity, no ladder)."""
         if self._fingerprint is None:
             return None
         from repro.speccache import residual_cache_key
@@ -537,13 +530,13 @@ class TierLadder:
         probe; ``None`` lets the ladder decide."""
         static_args = dict(static_args or {})
         dynamic_args = tuple(dynamic_args)
-        key = self.key_for(goal, static_args)
         if tier is not None:
-            return self._forced(tier, goal, static_args, dynamic_args, key)
+            return self._forced(tier, goal, static_args, dynamic_args)
+        key = self.key_for(goal, static_args)
         if key is None:
             return self._tier1(goal, static_args, dynamic_args)
         # The hot path: one dict probe + one native call.
-        fn = _memo_get(key)
+        fn = _MEMO.get(key)
         if fn is not None:
             _count(self.obs, "tier.memo_hits")
             return self._run2(fn, dynamic_args, origin="memo")
@@ -553,37 +546,44 @@ class TierLadder:
             # process serves a previously-hot goal at tier 2 at once.
             fn = load_compiled(self.store, key, obs=self.obs)
             if fn is not None:
-                _memo_put(key, fn)
+                _MEMO.put(key, fn)
                 return self._run2(fn, dynamic_args)
         if count >= self.policy.hot_after:
             result = self._specialise(goal, static_args)
-            fn = _promote(
-                self.store, key, result, self.policy, self.obs, goal
-            )
+            fn = _promote(self.store, key, result, self.obs, goal)
             return self._run2(fn, dynamic_args)
         if count >= self.policy.warm_after or self.program is None:
             return self._tier1(goal, static_args, dynamic_args)
         return self._tier0(goal, static_args, dynamic_args)
 
+    def compiled(self, goal, static_args):
+        """The tier-2 :class:`TierFunction` for one request, without
+        touching the hotness counters: the memo, then the persisted
+        artifact, then specialise + emit + ``compile()`` (persisted and
+        memoised for the next caller)."""
+        key = self.key_for(goal, static_args)
+        if key is not None:
+            fn = _MEMO.get(key)
+            if fn is not None:
+                _count(self.obs, "tier.memo_hits")
+                return fn
+            if self.store is not None:
+                fn = load_compiled(self.store, key, obs=self.obs)
+                if fn is not None:
+                    _MEMO.put(key, fn)
+                    return fn
+        result = self._specialise(goal, static_args)
+        return _promote(self.store, key, result, self.obs, goal)
+
     # -- the rungs ---------------------------------------------------
 
-    def _forced(self, tier, goal, static_args, dynamic_args, key):
+    def _forced(self, tier, goal, static_args, dynamic_args):
         if tier == 0:
             return self._tier0(goal, static_args, dynamic_args)
         if tier == 1:
             return self._tier1(goal, static_args, dynamic_args)
         if tier == 2:
-            fn = _memo_get(key) if key is not None else None
-            if fn is None and key is not None and self.store is not None:
-                fn = load_compiled(self.store, key, obs=self.obs)
-            if fn is None:
-                result = self._specialise(goal, static_args)
-                fn = _promote(
-                    self.store, key, result, self.policy, self.obs, goal
-                )
-            elif key is not None:
-                _memo_put(key, fn)
-            return self._run2(fn, dynamic_args)
+            return self._run2(self.compiled(goal, static_args), dynamic_args)
         raise ValueError("tier must be 0, 1 or 2, got %r" % (tier,))
 
     def _full_args(self, goal, static_args, dynamic_args):
@@ -638,3 +638,28 @@ class TierLadder:
         value = fn(*dynamic_args)
         _count(self.obs, "tier.t2_runs")
         return TierRun(value, 2, origin or fn.origin)
+
+
+def generate(gp, goal, static_args=None, options=None, obs=None):
+    """Run-time code generation: specialise ``goal`` with respect to
+    ``static_args`` and return the compiled residual as a Python
+    callable over the dynamic arguments — the ladder's tier-2
+    :class:`TierFunction` (:meth:`TierLadder.compiled`), so a repeated
+    request is one memo probe and, with ``options.cache_dir``, a fresh
+    process loads the persisted artifact instead of re-specialising.
+
+    >>> import repro
+    >>> from repro.backend import generate
+    >>> gp = repro.compile_genexts('''
+    ... module Power where
+    ...
+    ... power n x = if n == 1 then x else x * power (n - 1) x
+    ... ''')
+    >>> cube = generate(gp, "power", {"n": 3})
+    >>> cube(5)
+    125
+    """
+    from repro.api import spec_options
+
+    ladder = TierLadder(gp, options=spec_options("generate", options), obs=obs)
+    return ladder.compiled(goal, dict(static_args or {}))

@@ -86,9 +86,10 @@ class GenextProgram:
         generating-extension module *sources* plus the link topology
         (module names and import lists).  Two programs with the same
         fingerprint specialise identically, so it anchors the keys of
-        the persistent residual cache and the RTCG callable LRU
-        (:mod:`repro.speccache`).  ``None`` when any module was loaded
-        without its source text (caching is then disabled)."""
+        the persistent residual cache (:mod:`repro.speccache`) and the
+        execution ladder's compiled-callable memo.  ``None`` when any
+        module was loaded without its source text (caching is then
+        disabled)."""
         if self._fingerprint is None:
             h = hashlib.sha256(b"mspec-genext-fingerprint\x00")
             for name in sorted(self.modules):

@@ -56,7 +56,8 @@ if sys.version_info >= (3, 10):
 # The ``rt.lub`` of generated code.  Generated code only ever passes
 # concrete S/D operands, for which :func:`~repro.bt.bt.bt_lub` returns
 # the shared singletons on an allocation-free path — measurably cheaper
-# than memoising the call (see benchmarks/bench_spec_throughput.py).
+# than memoising the call (see docs/performance.md, "Runtime
+# micro-optimisations").
 lub = bt_lub
 
 __all__ = [

@@ -1,14 +1,16 @@
 """Schema validation for the observability JSON artifacts.
 
 Zero-dependency structural validators (no jsonschema in the image) for
-the three documents the toolchain emits:
+the documents the toolchain emits:
 
 * Chrome trace files (``mspec build --trace``) — checked against the
   trace-event subset we generate (``X`` complete spans / ``i`` instants
   with microsecond ``ts``, ``pid``/``tid`` lanes, ``args`` dicts);
 * metrics snapshots (``mspec build --metrics``,
   :meth:`repro.obs.metrics.MetricsRegistry.snapshot`);
-* ``mspec ... --json`` reports (``mspec.report/v1``).
+* ``mspec ... --json`` reports (``mspec.report/v1``);
+* ``mspec soak`` reports (``repro.bench.soak/v1``), among them the
+  committed ``benchmarks/BENCH_soak.json``.
 
 Each ``validate_*`` returns a list of problem strings (empty = valid).
 ``python -m repro.obs.schema FILE...`` validates files (kind inferred
@@ -22,16 +24,10 @@ import sys
 from repro.obs.metrics import METRICS_SCHEMA
 
 __all__ = [
-    "BENCH_EXEC_TIERS_SCHEMA",
-    "BENCH_SERVE_SCHEMA",
     "BENCH_SOAK_SCHEMA",
-    "BENCH_SPEC_THROUGHPUT_SCHEMA",
     "REPORT_SCHEMA",
     "WELL_KNOWN_COUNTERS",
-    "validate_bench_exec_tiers",
-    "validate_bench_serve",
     "validate_bench_soak",
-    "validate_bench_spec_throughput",
     "validate_metrics",
     "validate_report",
     "validate_trace",
@@ -40,13 +36,7 @@ __all__ = [
 
 REPORT_SCHEMA = "mspec.report/v1"
 
-BENCH_SPEC_THROUGHPUT_SCHEMA = "repro.bench.spec_throughput/v1"
-
-BENCH_SERVE_SCHEMA = "repro.bench.serve/v1"
-
 BENCH_SOAK_SCHEMA = "repro.bench.soak/v1"
-
-BENCH_EXEC_TIERS_SCHEMA = "repro.bench.exec_tiers/v1"
 
 _REPORT_COMMANDS = ("build", "specialise", "fsck", "check")
 
@@ -63,9 +53,6 @@ WELL_KNOWN_COUNTERS = frozenset(
         "speccache.misses",
         "speccache.reads",
         "speccache.writes",
-        "rtcg.lru_hits",
-        "rtcg.lru_misses",
-        "rtcg.lru_evictions",
         # Warm-hit payload decoding (repro.speccache.decode_result):
         # memo hits skip the parse/re-link of the residual text.
         "speccache.decode_hits",
@@ -270,87 +257,6 @@ def validate_report(doc):
     return problems
 
 
-def validate_bench_spec_throughput(doc):
-    """Problems with a ``BENCH_spec_throughput.json`` document (empty
-    list = ok).  The document is what
-    ``benchmarks/bench_spec_throughput.py`` emits: the workload shape,
-    a flat table of timings/speedups, and the byte-identity verdict."""
-    if not isinstance(doc, dict):
-        return ["bench document must be a JSON object"]
-    problems = []
-    if doc.get("schema") != BENCH_SPEC_THROUGHPUT_SCHEMA:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_SPEC_THROUGHPUT_SCHEMA, doc.get("schema"))
-        )
-    if not isinstance(doc.get("cpus"), int) or doc.get("cpus", 0) < 1:
-        problems.append("cpus must be a positive integer")
-    if not isinstance(doc.get("workload"), dict):
-        problems.append("workload must be an object")
-    if doc.get("identical") is not True:
-        problems.append(
-            "identical must be true (results must be byte-identical "
-            "across cache states and jobs widths)"
-        )
-    results = doc.get("results")
-    if not isinstance(results, dict) or not results:
-        problems.append("results must be a non-empty object")
-    else:
-        for name, value in results.items():
-            if not isinstance(name, str):
-                problems.append("results key %r is not a string" % (name,))
-            if (
-                not isinstance(value, _NUMBER)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                problems.append(
-                    "results[%r] must be a non-negative number" % (name,)
-                )
-    return problems
-
-
-def validate_bench_serve(doc):
-    """Problems with a ``BENCH_serve.json`` document (empty list = ok).
-
-    The document is what ``benchmarks/bench_serve.py`` emits: the
-    workload shape, daemon/CLI latencies and throughputs, and the
-    byte-identity verdict for daemon-vs-CLI residuals."""
-    if not isinstance(doc, dict):
-        return ["bench document must be a JSON object"]
-    problems = []
-    if doc.get("schema") != BENCH_SERVE_SCHEMA:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_SERVE_SCHEMA, doc.get("schema"))
-        )
-    if not isinstance(doc.get("cpus"), int) or doc.get("cpus", 0) < 1:
-        problems.append("cpus must be a positive integer")
-    if not isinstance(doc.get("workload"), dict):
-        problems.append("workload must be an object")
-    if doc.get("identical") is not True:
-        problems.append(
-            "identical must be true (daemon residuals must be "
-            "byte-identical to the one-shot CLI's)"
-        )
-    results = doc.get("results")
-    if not isinstance(results, dict) or not results:
-        problems.append("results must be a non-empty object")
-    else:
-        for name, value in results.items():
-            if not isinstance(name, str):
-                problems.append("results key %r is not a string" % (name,))
-            if (
-                not isinstance(value, _NUMBER)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                problems.append(
-                    "results[%r] must be a non-negative number" % (name,)
-                )
-    return problems
-
-
 def validate_bench_soak(doc):
     """Problems with a ``BENCH_soak.json`` document (empty list = ok).
 
@@ -406,88 +312,6 @@ def validate_bench_soak(doc):
     return problems
 
 
-def validate_bench_exec_tiers(doc):
-    """Problems with a ``BENCH_exec_tiers.json`` document (empty list =
-    ok).  The document is what ``benchmarks/bench_exec_tiers.py``
-    emits: per-tier warm timings on the machine-interpreter workload,
-    the cross-tier value-identity verdict, the tier-2-vs-tier-1
-    speedup (with its >= 10x floor), and the daemon-restart evidence —
-    a previously-hot goal answered from the persisted artifact with
-    zero specialisation runs and zero ``compile()``s from the AST."""
-    if not isinstance(doc, dict):
-        return ["bench document must be a JSON object"]
-    problems = []
-    if doc.get("schema") != BENCH_EXEC_TIERS_SCHEMA:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_EXEC_TIERS_SCHEMA, doc.get("schema"))
-        )
-    if not isinstance(doc.get("cpus"), int) or doc.get("cpus", 0) < 1:
-        problems.append("cpus must be a positive integer")
-    if not isinstance(doc.get("workload"), dict):
-        problems.append("workload must be an object")
-    if doc.get("identical") is not True:
-        problems.append(
-            "identical must be true (all three tiers must produce "
-            "byte-identical values)"
-        )
-    results = doc.get("results")
-    if not isinstance(results, dict) or not results:
-        problems.append("results must be a non-empty object")
-    else:
-        for name, value in results.items():
-            if not isinstance(name, str):
-                problems.append("results key %r is not a string" % (name,))
-            if (
-                not isinstance(value, _NUMBER)
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                problems.append(
-                    "results[%r] must be a non-negative number" % (name,)
-                )
-        speedup = results.get("tier2_vs_tier1_speedup", 0)
-        if not isinstance(speedup, _NUMBER) or speedup < 10:
-            problems.append(
-                "results.tier2_vs_tier1_speedup must be >= 10 (compiled "
-                "execution must beat interpreting the residual 10x)"
-            )
-    restart = doc.get("restart")
-    if not isinstance(restart, dict):
-        problems.append("restart must be an object")
-    else:
-        if restart.get("served_from_artifact") is not True:
-            problems.append(
-                "restart.served_from_artifact must be true (the cold "
-                "daemon must answer at tier 2 from the persisted "
-                "artifact)"
-            )
-        for name in ("code_loads", "specialisations", "emitted"):
-            value = restart.get(name)
-            if not isinstance(value, int) or isinstance(value, bool) or (
-                value < 0
-            ):
-                problems.append(
-                    "restart.%s must be a non-negative integer" % name
-                )
-        if restart.get("code_loads", 0) < 1:
-            problems.append(
-                "restart.code_loads must be >= 1 (the artifact's "
-                "marshalled code object must actually be loaded)"
-            )
-        if restart.get("specialisations", 1) != 0:
-            problems.append(
-                "restart.specialisations must be 0 (no re-specialising "
-                "after the restart)"
-            )
-        if restart.get("emitted", 1) != 0:
-            problems.append(
-                "restart.emitted must be 0 (no re-compile() from the "
-                "AST after the restart)"
-            )
-    return problems
-
-
 def validate_file(path):
     """``(kind, problems)`` for a JSON file; kind inferred from content."""
     try:
@@ -501,14 +325,8 @@ def validate_file(path):
         return "metrics", validate_metrics(doc)
     if isinstance(doc, dict) and doc.get("schema") == REPORT_SCHEMA:
         return "report", validate_report(doc)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_SPEC_THROUGHPUT_SCHEMA:
-        return "bench", validate_bench_spec_throughput(doc)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_SERVE_SCHEMA:
-        return "bench", validate_bench_serve(doc)
     if isinstance(doc, dict) and doc.get("schema") == BENCH_SOAK_SCHEMA:
         return "bench", validate_bench_soak(doc)
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_EXEC_TIERS_SCHEMA:
-        return "bench", validate_bench_exec_tiers(doc)
     return "unknown", ["unrecognised document (no known schema marker)"]
 
 

@@ -7,9 +7,10 @@ caches are warm.  This package keeps everything resident instead:
 * :mod:`.daemon` — the long-lived server: the module directory loaded
   and linked **once**, a pre-forked :class:`~repro.pipeline.pool.WorkerPool`
   whose workers inherit the linked program, the persistent residual
-  cache and RTCG LRU hot across requests, an admission/backpressure
-  layer, per-request deadlines, live observability, graceful drain, and
-  digest-based re-link when the source directory changes.
+  cache and the execution ladder hot across requests, an
+  admission/backpressure layer, per-request deadlines, live
+  observability, graceful drain, and digest-based re-link when the
+  source directory changes.
 * :mod:`.client` — :class:`~repro.serve.client.ServeClient`, the Python
   client (and the engine behind ``mspec client``): per-request wire
   deadlines (:class:`~repro.serve.client.ServeTimeout`), transparent

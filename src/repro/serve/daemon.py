@@ -3,11 +3,8 @@
 The paper's economics say analysis and cogen happen once, and
 specialisation is the cheap repeated step — but the CLI re-pays the
 expensive part on every invocation: re-parse, re-analyse, re-link,
-re-fork a pool, all for requests that take microseconds once warm
-(``BENCH_spec_throughput.json``: warm cache hits ~100µs, RTCG LRU hits
-~2400×; ``BENCH_parallel_pipeline.json``: parallel *losing* to serial
-because fork/pickle overhead dominates).  :class:`SpecServer` keeps all
-of it resident:
+re-fork a pool, all for requests that cost a cache read once warm.
+:class:`SpecServer` keeps all of it resident:
 
 * the module directory is loaded, analysed, cogen'd, and **linked
   once**; the linked :class:`~repro.genext.link.GenextProgram` lives in
@@ -17,8 +14,9 @@ of it resident:
   program through :data:`repro.genext.batch._WORKER_PROGRAMS`, so a
   cold request never pickles a program and never re-links;
 * the persistent residual cache (:class:`~repro.speccache.SpecCache`)
-  and the RTCG LRU stay **hot across requests**: a warm request is
-  answered in-parent from the cache, exactly the
+  and the execution ladder's compiled-callable memo
+  (:mod:`repro.backend.tiers`) stay **hot across requests**: a warm
+  request is answered in-parent from the cache, exactly the
   :func:`~repro.genext.batch.specialise_many` warm path, without
   touching the pool at all;
 * requests pass an **admission layer** first: at most ``max_inflight``
@@ -49,8 +47,8 @@ Residual semantics are byte-identical to the CLI path by construction:
 warm answers are the same canonical ``repro.speccache/v1`` payloads the
 CLI reads, and cold answers run through the same
 :func:`~repro.genext.batch.specialise_many` machinery with the same
-options — the load-test harness (``benchmarks/bench_serve.py``) and the
-CI serve job both enforce it.
+options — ``tests/test_serve.py``, the benchmark suite's ``serve-mix``
+workload and the CI serve job all enforce it.
 """
 
 import hashlib

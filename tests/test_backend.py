@@ -161,7 +161,7 @@ def test_rtcg_generate_power():
     )
     cube = generate(gp, "power", {"n": 3})
     assert cube(5) == 125
-    assert "def power" in cube.python_source
+    assert "def power" in cube.source
 
 
 def test_rtcg_residual_loop():
@@ -181,7 +181,7 @@ def test_rtcg_machine_compiler():
     run = generate(gp, "run", {"prog": prog})
     assert run(5) == 20
     # The generated Python is straight-line residual code.
-    assert "_head" not in run.python_source.split("# module")[1]
+    assert "_head" not in run.source.split("# module")[1]
 
 
 def test_rtcg_compiled_residual_agrees_with_interpreted_residual(corpus_case, corpus_genexts):

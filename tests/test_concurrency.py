@@ -1,12 +1,13 @@
-"""Concurrency hammers: the RTCG LRU under threads, the residual
-cache under racing processes.
+"""Concurrency hammers: the memoised RTCG callables under threads, the
+residual cache under racing processes.
 
 The serve daemon turned both shared structures into genuinely
-concurrent ones — request-handler threads probe the process-wide RTCG
-LRU, and separate worker *processes* publish into one on-disk
-``SpecCache``.  These tests exercise exactly those regimes: no torn
-state, no exceptions, invariants (bounded LRU, valid payloads) hold at
-every observation point.
+concurrent ones — request-handler threads probe the process-wide
+compiled-callable memo of the execution ladder (which ``generate``
+answers from), and separate worker *processes* publish into one
+on-disk ``SpecCache``.  These tests exercise exactly those regimes: no
+torn state, no exceptions, invariants (bounded memo, valid payloads)
+hold at every observation point.
 """
 
 import json
@@ -16,7 +17,7 @@ import time
 
 import repro
 from repro.api import SpecOptions
-from repro.backend import rtcg
+from repro.backend import generate, tiers
 from repro.speccache import (
     RESID_KIND,
     SpecCache,
@@ -32,11 +33,11 @@ power n x = if n == 1 then x else x * power (n - 1) x
 
 
 # ---------------------------------------------------------------------------
-# RTCG LRU: many threads, one bounded cache.
+# RTCG: many threads, one memo of compiled callables.
 # ---------------------------------------------------------------------------
 
 
-def test_rtcg_lru_survives_thread_hammer():
+def test_generate_memo_survives_thread_hammer():
     gp = repro.compile_genexts(POWER)
     errors = []
     barrier = threading.Barrier(6)
@@ -46,35 +47,28 @@ def test_rtcg_lru_survives_thread_hammer():
         try:
             barrier.wait(timeout=30)
             for i in range(40):
-                n = 1 + (seed + i) % 7  # 7 distinct keys, capacity 4
-                fn = rtcg.generate(gp, "power", {"n": n})
+                n = 1 + (seed + i) % 7  # 7 distinct keys
+                fn = generate(gp, "power", {"n": n})
                 if fn(2) != 2 ** n:
                     errors.append("wrong value for n=%d" % n)
                 # The invariant must hold at every observation point,
-                # not just at the end: never more entries than the
-                # largest capacity the churn thread ever sets.
-                if rtcg.lru_len() > 5:
-                    errors.append("lru overflow: %d" % rtcg.lru_len())
+                # not just at the end: one entry per distinct key at
+                # most, however the inserts and clears interleave.
+                if len(tiers._MEMO) > 7:
+                    errors.append("memo overflow: %d" % len(tiers._MEMO))
         except Exception as exc:  # noqa: BLE001 - the hammer reports all
             errors.append(repr(exc))
 
     def churn():
         try:
             barrier.wait(timeout=30)
-            caps = [3, 5, 4]
-            i = 0
             while not stop.is_set():
-                rtcg.configure_lru(caps[i % len(caps)])
-                if i % 4 == 3:
-                    rtcg.clear_lru()
-                i += 1
+                tiers.clear_tiers()
                 time.sleep(0.001)
         except Exception as exc:  # noqa: BLE001
             errors.append(repr(exc))
 
     try:
-        rtcg.configure_lru(4)
-        rtcg.clear_lru()
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(5)]
         churner = threading.Thread(target=churn)
         for t in threads:
@@ -85,16 +79,14 @@ def test_rtcg_lru_survives_thread_hammer():
         stop.set()
         churner.join(timeout=30)
         assert not errors, errors[:5]
-        assert rtcg.lru_len() <= 5
+        assert len(tiers._MEMO) <= 7
     finally:
         stop.set()
-        rtcg.configure_lru(128)
-        rtcg.clear_lru()
 
 
-def test_rtcg_lru_concurrent_same_cold_key_both_correct():
-    # Two threads racing the same cold key may both compute; the last
-    # insert wins and both callables must be correct (nothing torn).
+def test_generate_memo_concurrent_same_cold_key_both_correct():
+    # Threads racing the same cold key may all compute; the last
+    # insert wins and every callable must be correct (nothing torn).
     gp = repro.compile_genexts(POWER)
     results = []
     barrier = threading.Barrier(4)
@@ -102,23 +94,17 @@ def test_rtcg_lru_concurrent_same_cold_key_both_correct():
 
     def race():
         barrier.wait(timeout=30)
-        fn = rtcg.generate(gp, "power", {"n": 5})
+        fn = generate(gp, "power", {"n": 5})
         with lock:
             results.append(fn(3))
 
-    try:
-        rtcg.configure_lru(8)
-        rtcg.clear_lru()
-        threads = [threading.Thread(target=race) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert results == [243, 243, 243, 243]
-        assert rtcg.lru_len() == 1
-    finally:
-        rtcg.configure_lru(128)
-        rtcg.clear_lru()
+    threads = [threading.Thread(target=race) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert results == [243, 243, 243, 243]
+    assert len(tiers._MEMO) == 1
 
 
 # ---------------------------------------------------------------------------

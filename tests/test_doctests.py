@@ -5,14 +5,14 @@ import doctest
 import pytest
 
 import repro
-import repro.backend.rtcg
+import repro.backend.tiers
 import repro.bt.explain
 import repro.stdlib
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro, repro.backend.rtcg, repro.stdlib],
+    [repro, repro.backend.tiers, repro.stdlib],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

@@ -445,7 +445,7 @@ def test_cli_help_lists_exit_codes(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Well-known performance counters and the bench document schema.
+# Well-known performance counters and the committed bench record.
 # ---------------------------------------------------------------------------
 
 
@@ -462,7 +462,7 @@ def test_well_known_counters_must_be_nonnegative_integers():
     assert validate_metrics(_metrics_doc({"speccache.hits": 3})) == []
     problems = validate_metrics(_metrics_doc({"speccache.hits": 1.5}))
     assert any("well-known" in p for p in problems)
-    problems = validate_metrics(_metrics_doc({"rtcg.lru_hits": -1}))
+    problems = validate_metrics(_metrics_doc({"tier.memo_hits": -1}))
     assert any("well-known" in p for p in problems)
 
 
@@ -484,57 +484,23 @@ def test_speccache_counters_flow_into_a_valid_snapshot(tmp_path):
     assert snapshot["counters"]["speccache.writes"] == 1
 
 
-def _bench_doc():
-    from repro.obs.schema import BENCH_SPEC_THROUGHPUT_SCHEMA
-
-    return {
-        "schema": BENCH_SPEC_THROUGHPUT_SCHEMA,
-        "cpus": 4,
-        "workload": {"goal": "run"},
-        "results": {"cache_warm_speedup": 12.5},
-        "identical": True,
-    }
-
-
-def test_bench_spec_throughput_validator_accepts_the_shape():
-    from repro.obs.schema import validate_bench_spec_throughput
-
-    assert validate_bench_spec_throughput(_bench_doc()) == []
-
-
-@pytest.mark.parametrize(
-    "mutation, expected",
-    [
-        ({"schema": "nope"}, "schema"),
-        ({"cpus": 0}, "cpus"),
-        ({"workload": None}, "workload"),
-        ({"identical": False}, "identical"),
-        ({"results": {}}, "results"),
-        ({"results": {"x": -1}}, "results"),
-        ({"results": {"x": True}}, "results"),
-    ],
+_SOAK_RECORD = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "BENCH_soak.json"
 )
-def test_bench_spec_throughput_validator_rejects(mutation, expected):
-    from repro.obs.schema import validate_bench_spec_throughput
-
-    doc = dict(_bench_doc(), **mutation)
-    problems = validate_bench_spec_throughput(doc)
-    assert any(expected in p for p in problems), problems
 
 
 def test_validate_file_recognises_bench_documents(tmp_path):
+    with open(_SOAK_RECORD) as f:
+        doc = json.load(f)
     path = tmp_path / "bench.json"
-    path.write_text(json.dumps(_bench_doc()))
+    path.write_text(json.dumps(doc))
+    assert validate_file(str(path)) == ("bench", [])
+    doc["checks"] = {"performed": -1}
+    path.write_text(json.dumps(doc))
     kind, problems = validate_file(str(path))
     assert kind == "bench"
-    assert problems == []
+    assert problems
 
 
 def test_committed_bench_document_is_valid():
-    path = os.path.join(
-        os.path.dirname(__file__), "..", "benchmarks",
-        "BENCH_spec_throughput.json",
-    )
-    kind, problems = validate_file(path)
-    assert kind == "bench"
-    assert problems == []
+    assert validate_file(_SOAK_RECORD) == ("bench", [])

@@ -1,10 +1,11 @@
-"""The persistent residual cache and the RTCG callable LRU.
+"""The persistent residual cache and the memoised RTCG callables.
 
 Covers the warm-hit contract (byte-identical residual programs, no
 SpecState constructed), key invalidation (module source edits, keyed
 SpecOptions fields), execution knobs staying out of the key, corrupt
-entries degrading to misses, fsck integration, and the ``speccache.*``
-/ ``rtcg.lru_*`` accounting.
+entries degrading to misses, fsck integration, the ``speccache.*``
+accounting, and ``generate`` answering repeats from the execution
+ladder's compiled-callable memo (``tier.*`` accounting).
 """
 
 import json
@@ -14,7 +15,8 @@ import pytest
 
 import repro
 from repro.api import SpecOptions
-from repro.backend import generate, rtcg
+from repro.backend import generate
+from repro.backend.tiers import clear_tiers
 from repro.obs import Obs
 from repro.pipeline.cache import RESID_KIND, ArtifactCache
 from repro.pipeline.faults import fsck_cache
@@ -39,14 +41,6 @@ module Power where
 
 power n x = if n == 1 then x else x + power (n - 1) x
 """
-
-
-@pytest.fixture(autouse=True)
-def _fresh_lru():
-    rtcg.clear_lru()
-    yield
-    rtcg.clear_lru()
-    rtcg.configure_lru(128)
 
 
 def _gp(source=POWER):
@@ -331,7 +325,7 @@ def test_speccache_is_shareable_across_instances(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The RTCG callable LRU.
+# RTCG: generate's callables come from the ladder's memo.
 # ---------------------------------------------------------------------------
 
 
@@ -343,43 +337,21 @@ def test_generate_lru_hit_returns_the_same_callable():
     assert second is first
     assert second(5) == 125
     counters = obs.metrics.snapshot()["counters"]
-    assert counters["rtcg.lru_hits"] == 1
-    assert counters["rtcg.lru_misses"] == 1
+    assert counters["tier.emitted"] == 1
+    assert counters["tier.promotions"] == 1
+    assert counters["tier.memo_hits"] == 1
 
 
 def test_generate_lru_distinguishes_requests():
     gp = _gp()
-    cube = generate(gp, "power", {"n": 3})
-    square = generate(gp, "power", {"n": 2})
+    obs = Obs()
+    cube = generate(gp, "power", {"n": 3}, obs=obs)
+    square = generate(gp, "power", {"n": 2}, obs=obs)
     assert cube is not square
     assert cube(2) == 8 and square(2) == 4
-    assert rtcg.lru_len() == 2
-
-
-def test_generate_lru_evicts_least_recent():
-    gp = _gp()
-    rtcg.configure_lru(2)
-    a = generate(gp, "power", {"n": 2})
-    b = generate(gp, "power", {"n": 3})
-    assert generate(gp, "power", {"n": 2}) is a  # refresh a: b is now LRU
-    c = generate(gp, "power", {"n": 4})  # evicts b
-    assert rtcg.lru_len() == 2
-    assert generate(gp, "power", {"n": 2}) is a  # a survived
-    assert generate(gp, "power", {"n": 4}) is c  # c survived
-    assert generate(gp, "power", {"n": 3}) is not b  # b did not
-
-
-def test_generate_lru_capacity_zero_disables():
-    gp = _gp()
-    rtcg.configure_lru(0)
-    first = generate(gp, "power", {"n": 3})
-    assert generate(gp, "power", {"n": 3}) is not first
-    assert rtcg.lru_len() == 0
-
-
-def test_configure_lru_rejects_negative():
-    with pytest.raises(ValueError):
-        rtcg.configure_lru(-1)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["tier.emitted"] == 2
+    assert "tier.memo_hits" not in counters
 
 
 def test_generate_lru_invalidated_by_source_edit():
@@ -388,6 +360,33 @@ def test_generate_lru_invalidated_by_source_edit():
     assert other is not cube
     assert cube(2) == 8
     assert other(2) == 6
+
+
+def test_generate_with_a_sink_bypasses_the_memo(tmp_path):
+    seen = []
+    options = SpecOptions(
+        cache_dir=str(tmp_path), sink=lambda placement, d: seen.append(d.name)
+    )
+    first = generate(_gp(), "power", {"x": 2}, options)
+    streamed = len(seen)
+    second = generate(_gp(), "power", {"x": 2}, options)
+    assert second is not first
+    assert first(10) == second(10) == 1024
+    assert streamed > 0 and len(seen) == 2 * streamed  # both runs streamed
+    assert not os.path.isdir(os.path.join(str(tmp_path), "objects"))
+
+
+def test_generate_with_cache_dir_loads_the_persisted_artifact(tmp_path):
+    options = SpecOptions(cache_dir=str(tmp_path))
+    assert generate(_gp(), "power", {"n": 3}, options).origin == "emitted"
+    clear_tiers()  # a fresh process
+    obs = Obs()
+    cube = generate(_gp(), "power", {"n": 3}, options, obs=obs)
+    assert (cube.origin, cube(2)) == ("code", 8)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["tier.code_loads"] == 1
+    assert "tier.emitted" not in counters
+    assert not any(name.startswith("spec.") for name in counters)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Covers: hotness-driven promotion, the persisted tier-2 artifacts
 silent fallback chain (memo → code artifact → recompiled source →
 tier 1), cold-restart durability, warm-hit promotion from the
 specialise paths (batch driver and daemon), the serve daemon's ``run``
-op, fsck validation of the new artifact kinds, the decode memo, and
-the RTCG LRU metrics satellites.
+op (including a restart that answers from the persisted artifact),
+fsck validation of the new artifact kinds, and the decode memo.
 """
 
 import json
@@ -55,9 +55,7 @@ def _counters(obs):
 
 class TestPolicy:
     def test_defaults(self):
-        assert DEFAULT_TIER_POLICY == TierPolicy(
-            warm_after=1, hot_after=3, persist=True
-        )
+        assert DEFAULT_TIER_POLICY == TierPolicy(warm_after=1, hot_after=3)
 
     def test_rejects_negative_warm(self):
         with pytest.raises(ValueError):
@@ -158,18 +156,6 @@ class TestLadder:
         assert header is not None and header[0] == "power"
         record = marshal.loads(store.get_bytes(key, CODE_KIND))
         assert record["schema"] == TIER2_SCHEMA
-
-    def test_persist_false_keeps_promotion_process_local(self, gp, tmp_path):
-        options = SpecOptions(
-            cache_dir=str(tmp_path),
-            tier_policy=TierPolicy(hot_after=1, persist=False),
-        )
-        ladder = TierLadder(gp, options=options)
-        assert ladder.call("power", {"n": 3}, (2,)).tier == 2
-        key = ladder.key_for("power", {"n": 3})
-        store = ArtifactCache(str(tmp_path))
-        assert not store.has(key, RESID_PY_KIND)
-        assert not store.has(key, CODE_KIND)
 
     def test_cold_restart_serves_from_persisted_artifact(self, gp, tmp_path):
         """The acceptance scenario: after a promotion, a fresh process
@@ -439,6 +425,35 @@ class TestServeRun:
         finally:
             server.close()
 
+    def test_restarted_daemon_answers_from_the_persisted_artifact(
+        self, tmp_path
+    ):
+        doc = {
+            "op": "run", "goal": "power",
+            "static_args": {"n": 5}, "dynamic_args": [2],
+        }
+        server = _daemon(tmp_path, tier_hot=2)
+        try:
+            assert [_request(server, doc)["tier"] for _ in range(3)] == [
+                1, 2, 2,
+            ]
+        finally:
+            server.close()
+
+        clear_tiers()  # the restart: no memo, no hotness
+        server = _daemon(tmp_path, tier_hot=2)
+        try:
+            response = _request(server, doc)
+            assert response["ok"]
+            run = (response["value"], response["tier"], response["origin"])
+            assert run == (32, 2, "code")
+            snap = server.obs.metrics.snapshot()["counters"]
+            assert snap["tier.code_loads"] == 1
+            assert "tier.emitted" not in snap
+            assert not any(name.startswith("spec.") for name in snap)
+        finally:
+            server.close()
+
     def test_config_rejects_bad_tier_hot(self, tmp_path):
         from repro.serve.daemon import ServeConfig
 
@@ -548,7 +563,7 @@ class TestFsckTierArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: the decode memo and the RTCG LRU metrics
+# The decode memo
 # ---------------------------------------------------------------------------
 
 
@@ -598,25 +613,6 @@ class TestDecodeMemo:
         for x, want in ((2, 8), (5, 125)):
             run = ladder.call("power", {"n": 3}, (x,))
             assert (run.tier, run.origin, run.value) == (2, "memo", want)
-
-
-class TestRtcgLruMetrics:
-    def test_evictions_counted_and_length_gauged(self, gp):
-        import repro.backend.rtcg as rtcg
-
-        rtcg.clear_lru()
-        rtcg.configure_lru(2)
-        try:
-            obs = Obs()
-            for n in (2, 3, 4):
-                rtcg.generate(gp, "power", {"n": n}, obs=obs)
-            snap = obs.metrics.snapshot()
-            assert snap["counters"]["rtcg.lru_evictions"] == 1
-            assert snap["gauges"]["rtcg.lru_len"] == 2
-            assert rtcg.lru_len() == 2
-        finally:
-            rtcg.configure_lru(128)
-            rtcg.clear_lru()
 
 
 # ---------------------------------------------------------------------------
