@@ -15,7 +15,8 @@ events, under content-digest invalidation:
   nothing is re-analysed (a timestamp scheme would redo the world);
 * **leaf edit** — change the last module; exactly one re-analysis;
 * **root edit, comment** — change the first module without changing its
-  interface; early cutoff stops the cone at the root itself;
+  interface; the root is re-analysed whole and early cutoff stops the
+  cone there;
 * **root edit, new export** — change the first module's *interface*;
   the direct importer references none of the new definitions, so its
   definition-level key is unchanged and the cone stops at the root.
@@ -47,7 +48,7 @@ def _refresh(tmp, cache_dir):
     """Bring every interface in ``tmp`` up to date; returns the modules
     that were (re-)analysed."""
     result = build_dir(tmp, BuildOptions(cache_dir=cache_dir, iface_dir=tmp))
-    return result.analysed + result.incremental
+    return result.analysed
 
 
 def _edit(tmp, name, text):

@@ -29,7 +29,7 @@ provably decreasing loop over a static structure unfolds even under
 dynamic control.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.anno.ast import (
@@ -108,17 +108,11 @@ class DefAnalysis:
 @dataclass
 class ModuleAnalysis:
     """The result of analysing one module: its binding-time interface
-    (one scheme per definition) plus the annotated module.
-
-    ``deps`` maps each definition to the function names whose schemes
-    its inference actually read — the paper's "analyse a module without
-    knowing its uses" claim pushed down to definitions, and the edges
-    the incremental engine cuts invalidation along."""
+    (one scheme per definition) plus the annotated module."""
 
     name: str
     schemes: Dict[str, BTScheme]
     annotated: AModule
-    deps: Dict[str, frozenset] = field(default_factory=dict)
 
 
 @dataclass
@@ -144,10 +138,6 @@ class _DefInference:
         # unfold flag instead of the body's conditionals (None = Similix).
         self.sct_params = sct_params
         self._lam_counter = 0
-        # Names whose schemes this inference actually read (imported or
-        # same-module) — the def-level dependency edges the incremental
-        # engine keys on.
-        self.reads = set()
 
     # -- fresh skeleton constructors (always well-formed) -----------------
 
@@ -278,7 +268,6 @@ class _DefInference:
             scheme = self.env.get(expr.func)
             if scheme is None:
                 self._fail("no binding-time scheme for %r" % expr.func)
-            self.reads.add(expr.func)
             fargs, fres, slot_map = instantiate(scheme, g, self.unifier)
             if len(fargs) != len(expr.args):
                 self._fail(
@@ -529,11 +518,7 @@ def analyse_scc(by_name, group, env, force_residual=frozenset(),
     polymorphic recursion by Kleene iteration from the most general
     signature.
 
-    Returns ``(schemes, annotated, reads)`` — three dicts keyed by def
-    name; ``reads`` records which schemes each def's inference actually
-    consulted.  This is the unit of work the incremental engine caches:
-    an SCC whose sources and read schemes are unchanged need never be
-    re-analysed.
+    Returns ``(schemes, annotated)``, two dicts keyed by def name.
 
     With ``unfolding="size-change"`` the component is first put through
     :func:`~repro.bt.sizechange.sct_unfold_params`; a successful proof
@@ -545,7 +530,6 @@ def analyse_scc(by_name, group, env, force_residual=frozenset(),
         sct = sct_unfold_params(by_name, group)
     assumed = {name: most_general_scheme(by_name[name].arity) for name in group}
     finalisers = {}
-    reads = {}
     for _ in range(_MAX_FIXPOINT_ITERATIONS):
         results = {}
         for name in group:
@@ -557,7 +541,6 @@ def analyse_scc(by_name, group, env, force_residual=frozenset(),
                 results[name] = inf.infer_def(by_name[name])
             except BTUnifyError as e:
                 raise BTAError("in %s: %s" % (name, e))
-            reads[name] = frozenset(inf.reads)
         new = {name: scheme for name, (scheme, _) in results.items()}
         finalisers = {name: fin for name, (_, fin) in results.items()}
         if new == assumed:
@@ -569,7 +552,7 @@ def analyse_scc(by_name, group, env, force_residual=frozenset(),
             % ", ".join(group)
         )
     annotated = {name: finalisers[name].finalise() for name in group}
-    return assumed, annotated, reads
+    return assumed, annotated
 
 
 def analyse_module(module, imported_schemes, force_residual=frozenset(),
@@ -590,22 +573,20 @@ def analyse_module(module, imported_schemes, force_residual=frozenset(),
     env = dict(imported_schemes)
     schemes = {}
     annotated = {}
-    deps = {}
     by_name = {d.name: d for d in module.defs}
     for group in module_def_sccs(module):
-        group_schemes, group_annotated, group_reads = analyse_scc(
+        group_schemes, group_annotated = analyse_scc(
             by_name, group, env, force_residual, unfolding=unfolding
         )
         schemes.update(group_schemes)
         env.update(group_schemes)
         annotated.update(group_annotated)
-        deps.update(group_reads)
     amodule = AModule(
         module.name,
         module.imports,
         tuple(annotated[d.name] for d in module.defs),
     )
-    return ModuleAnalysis(module.name, schemes, amodule, deps)
+    return ModuleAnalysis(module.name, schemes, amodule)
 
 
 def analyse_program(linked, force_residual=frozenset(), unfolding="lub"):

@@ -186,12 +186,7 @@ def cmd_analyze(args):
     schemes = {}
     for wave in result.waves:
         for name in wave:
-            if name in result.analysed:
-                status = "analysed"
-            elif name in result.incremental:
-                status = "incremental"
-            else:
-                status = "up to date"
+            status = "analysed" if name in result.analysed else "up to date"
             print("%-20s %s" % (name, status))
             schemes.update(store.load(store.path(name)).schemes)
     for fname in sorted(schemes):
@@ -247,7 +242,6 @@ def cmd_build(args):
             metrics=result.stats.metrics.snapshot(),
         )
     analysed = set(result.analysed)
-    incremental = set(result.incremental)
     failed = {f.module for f in report.failures}
     for wave_idx, wave in enumerate(result.waves):
         for name in wave:
@@ -257,8 +251,6 @@ def cmd_build(args):
                 status = "skipped (downstream of %s)" % report.skipped[name]
             elif name in analysed:
                 status = "analysed"
-            elif name in incremental:
-                status = "incremental"
             else:
                 status = "cached"
             print("%-20s wave %-3d %s" % (name, wave_idx, status))

@@ -111,7 +111,7 @@ def relink_with(linked, new_modules):
     """Return a new :class:`LinkedProgram` with some modules replaced or
     added.  ``new_modules`` is an iterable of :class:`Module`; modules with
     matching names are replaced, others appended (imports must stay
-    acyclic).  Used by tests and the incremental driver."""
+    acyclic).  Used by tests and the benchmark suite."""
     by_name = {m.name: m for m in linked.program.modules}
     order = list(by_name)
     for module in new_modules:

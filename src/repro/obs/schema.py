@@ -74,25 +74,14 @@ WELL_KNOWN_COUNTERS = frozenset(
         "batch.failed",
         "cache.hits",
         "cache.misses",
-        # Definition-level incremental recompilation (docs/pipeline.md):
-        # defs reused verbatim from the previous build's records, defs
-        # whose scheme was re-derived, re-derived defs whose scheme
-        # digest came out unchanged (the early-cutoff points), modules
-        # rebuilt per-definition in the parent, cache-hit modules whose
-        # deps' interfaces changed (saved specifically by def-level
-        # keying), and incremental attempts that fell back to full
-        # module analysis.
-        "incr.defs_reused",
+        # Definition-level early cutoff (docs/pipeline.md): defs whose
+        # scheme was re-derived, re-derived defs whose scheme digest
+        # came out unchanged (the early-cutoff points), and cache-hit
+        # modules whose deps' interfaces changed (saved specifically by
+        # def-level keying).
         "incr.defs_re_derived",
         "incr.defs_cut_off",
-        "incr.modules_incremental",
         "incr.modules_skipped",
-        "incr.fallbacks",
-        # Fallbacks caused by a *raised* exception inside the fast path
-        # (as opposed to a clean "cannot apply" answer) — these indicate
-        # a bug worth looking at, so they are counted separately and the
-        # first per module is reported on the event bus.
-        "incr.fallback_errors",
         # BuildResult.link (docs/pipeline.md): modules whose memoised
         # namespace was reused as it was, and modules the link executed
         # (new or changed source, or a function they import moved).

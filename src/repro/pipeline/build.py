@@ -61,7 +61,7 @@ from repro.genext.cogen import (
     cogen_fragments,
 )
 from repro.genext.link import GenextProgram, LoadedModule, load_genext
-from repro.lang.errors import LangError, ValidationError
+from repro.lang.errors import LangError, LexError, ValidationError
 from repro.lang.parser import parse_program
 from repro.lang.validate import resolve_module
 from repro.lru import LruMemo
@@ -73,7 +73,6 @@ from repro.pipeline import faultinject
 from repro.pipeline.cache import (  # re-exported; the canonical home
     ArtifactCache,
     CODE_KIND,
-    DEFS_KIND,
     GENEXT_KIND,
     IFACE_KIND,
 )
@@ -85,25 +84,11 @@ from repro.pipeline.faults import (
     ModuleFailure,
     WaveSupervisor,
 )
-from repro.pipeline.incremental import (
-    defs_doc_for_analysis,
-    defs_doc_text,
-    parse_defs_doc,
-    try_incremental,
-    used_import_digests,
-)
+from repro.pipeline.incremental import used_import_digests
 from repro.pipeline.report import ModuleRebuild, RebuildReport
 from repro.pipeline.stats import PipelineStats
 
 DEFAULT_CACHE_DIRNAME = ".mspec-cache"
-
-# When True, an exception inside the incremental fast path propagates
-# instead of silently degrading to whole-module analysis.  Production
-# keeps the fallback (the build's *output* never depends on the fast
-# path); the test suite flips this on (tests/conftest.py) so a fast-path
-# bug fails loudly there instead of hiding as a perf regression —
-# the same treatment EventBus handler errors got.
-STRICT_INCREMENTAL = False
 
 # A module's parse is a pure function of its file text, so a rebuild
 # should pay a digest for every unchanged file, not a parse.  The scan
@@ -129,6 +114,19 @@ def _parse_source(text):
         program = parse_program(text)
         _SCAN_MEMO.put(digest, program)
     return program
+
+
+def _read_source(path):
+    """The text of one source file.  Bytes that are not UTF-8 raise a
+    :class:`LexError` naming the file, so the scan reports them the way
+    it reports a parse error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise LexError(
+            "%s: not UTF-8 text (%s)" % (os.path.basename(path), exc)
+        ) from None
 
 
 # Linking is the cheap step of the paper's pipeline (Sec. 6), so a
@@ -188,15 +186,15 @@ def _analyse_cogen_worker(payload):
     ``payload`` is ``(name, source_text, ((dep, dep_interface_text), ...),
     force_residual_tuple[, trace])`` — text in, text out, so the job
     crosses process boundaries carrying nothing but what the paper says
-    a separate analysis may see.  Returns ``(name, interface_text,
-    genext_source, defs_record_text)`` — the defs record is the
-    per-definition build state (``repro.defs/v1``) a later incremental
-    rebuild mines — extended with the job's span events (plain dicts)
-    when ``trace`` is set: the worker records its own ``job`` /
-    ``analyse`` / ``cogen`` spans on a short-lived local tracer, and the
-    parent merges them into the build trace — one timeline across
-    processes.  Works identically in-process (``jobs=1``), so traces are
-    span-for-span comparable between serial and parallel builds.
+    a separate analysis may see.  The source goes through the scan memo,
+    so in-process (``jobs=1``) the parse the scan already paid is
+    reused.  Returns ``(name, interface_text, genext_source)``, extended
+    with the job's span events (plain dicts) when ``trace`` is set: the
+    worker records its own ``job`` / ``analyse`` / ``cogen`` spans on a
+    short-lived local tracer, and the parent merges them into the build
+    trace — one timeline across processes.  Works identically in-process
+    (``jobs=1``), so traces are span-for-span comparable between serial
+    and parallel builds.
     """
     name, text, deps, force_residual = payload[:4]
     trace = payload[4] if len(payload) > 4 else False
@@ -205,9 +203,8 @@ def _analyse_cogen_worker(payload):
     with tracer.span("job:%s" % name, cat="job", module=name):
         faultinject.fire("analyse", name)
         with tracer.span("analyse:%s" % name, cat="analyse", module=name):
-            module = parse_program(text).modules[0]
+            module = _parse_source(text).modules[0]
             visible = {}
-            visible_digests = {}
             for dep_name, dep_text in deps:
                 dep_iface = store.load_text(
                     dep_text, origin="<interface of %s>" % dep_name
@@ -218,7 +215,6 @@ def _analyse_cogen_worker(payload):
                         % (dep_name, dep_iface.module)
                     )
                 visible.update(dep_iface.schemes)
-                visible_digests.update(dep_iface.digests)
             arities = {fname: len(s.args) for fname, s in visible.items()}
             resolved = resolve_module(module, arities)
             analysis = analyse_module(resolved, visible, frozenset(force_residual))
@@ -226,18 +222,10 @@ def _analyse_cogen_worker(payload):
         with tracer.span("cogen:%s" % name, cat="cogen", module=name):
             fragments = cogen_fragments(analysis)
             genext = assemble_module(name, resolved.imports, fragments)
-            defs_doc = defs_doc_for_analysis(
-                resolved,
-                analysis,
-                fragments,
-                visible_digests,
-                frozenset(force_residual),
-            )
     iface = interface_text(name, analysis.schemes)
-    defs_text = defs_doc_text(defs_doc)
     if trace:
-        return name, iface, genext.source, defs_text, tracer.events
-    return name, iface, genext.source, defs_text
+        return name, iface, genext.source, tracer.events
+    return name, iface, genext.source
 
 
 @contextmanager
@@ -267,7 +255,6 @@ class BuildResult:
     cache: Optional[ArtifactCache] = field(repr=False, default=None)
     report: BuildReport = field(default_factory=BuildReport)
     obs: Optional[Obs] = field(repr=False, default=None)
-    incremental: List[str] = field(default_factory=list)
     rebuild: RebuildReport = field(default_factory=RebuildReport)
 
     def link(self):
@@ -369,10 +356,6 @@ class BuildEngine:
         self.out_dir = options.out_dir
         self.policy = options.fault_policy()
         self.obs = obs if obs is not None else Obs()
-        # First-failure-per-module memory for incremental.error events:
-        # a module that keeps failing across rebuilds logs once, not
-        # once per build.
-        self._incremental_errors_seen = set()
 
     # -- scanning -----------------------------------------------------------
 
@@ -385,8 +368,8 @@ class BuildEngine:
         :func:`~repro.modsys.program.load_program_dir` (one module per
         file, name matches file name, no functors) but resolves nothing:
         resolution happens per module, against interfaces, inside the
-        build jobs.  A file that fails to parse (or fails the structural
-        checks) does not abort the scan: it becomes a
+        build jobs.  A file that is not UTF-8 text, fails to parse or fails
+        the structural checks does not abort the scan: it becomes a
         :class:`~repro.pipeline.faults.ModuleFailure` under the name the
         file name implies, so the build treats it exactly like a module
         that failed in a worker — its cone is skipped, everything else
@@ -397,10 +380,9 @@ class BuildEngine:
             if not entry.endswith(SOURCE_SUFFIX):
                 continue
             path = os.path.join(self.src_dir, entry)
-            with open(path) as f:
-                text = f.read()
             expected = entry[: -len(SOURCE_SUFFIX)]
             try:
+                text = _read_source(path)
                 parsed = _parse_source(text)
                 if len(parsed.modules) != 1:
                     raise ValidationError(
@@ -516,10 +498,6 @@ class BuildEngine:
         stats.wave_widths = tuple(len(w) for w in waves)
 
         store = InterfaceStore()
-        # The per-def rebuild path is bypassed while a fault plan is
-        # armed: it runs analyse/cogen in the *parent*, where an
-        # injected crash would kill the build instead of a worker.
-        incremental_on = faultinject.active_plan() is None
         prev_refs = self.cache.read_refs()  # module -> last build's key
         changed = set()  # modules whose interface changed vs. last build
         rebuilds = {}  # name -> ModuleRebuild
@@ -577,13 +555,6 @@ class BuildEngine:
         supervisor = WaveSupervisor(
             _analyse_cogen_worker, self.jobs, self.policy, stats, obs=obs
         )
-        def dep_maps(src):
-            """Merged (schemes, per-def digests) of a module's imports."""
-            schemes, digests = {}, {}
-            for dep in src.imports:
-                schemes.update(ifaces[dep].schemes)
-                digests.update(ifaces[dep].digests)
-            return schemes, digests
 
         try:
             for wave_index, wave in enumerate(waves):
@@ -605,7 +576,9 @@ class BuildEngine:
                             # digests of the imported defs the module
                             # references, so an upstream scheme change
                             # it never looks at cannot miss it.
-                            _, digests = dep_maps(src)
+                            digests = {}
+                            for dep in src.imports:
+                                digests.update(ifaces[dep].digests)
                             key = module_key_v2(
                                 src.text.encode("utf-8"),
                                 src.imports,
@@ -650,13 +623,6 @@ class BuildEngine:
                                 misses.append(name)
                                 stats.note_cache_miss(name)
                                 obs.bus.emit("cache.miss", module=name, key=key)
-                    if misses and incremental_on:
-                        with _stage(stats, tracer, "incremental"):
-                            misses = self._incremental_pass(
-                                misses, sources, ifaces, genexts, keys,
-                                rebuilds, prev_refs, dep_maps,
-                                note_interface, store, stats, obs,
-                            )
                     if misses:
                         payloads = [
                             (
@@ -686,9 +652,8 @@ class BuildEngine:
                                     continue
                                 res = results[name]
                                 iface_text_, genext_source = res[1], res[2]
-                                defs_text = res[3]
-                                if len(res) > 4:
-                                    tracer.add_events(res[4])
+                                if len(res) > 3:
+                                    tracer.add_events(res[3])
                                 data = faultinject.corrupt(
                                     "publish", name, IFACE_KIND,
                                     iface_text_.encode("utf-8"),
@@ -702,9 +667,6 @@ class BuildEngine:
                                 )
                                 self.cache.put_bytes(
                                     keys[name], GENEXT_KIND, data
-                                )
-                                self.cache.put_text(
-                                    keys[name], DEFS_KIND, defs_text
                                 )
                                 # The worker's text is authoritative;
                                 # the cache copy may have been corrupted
@@ -761,8 +723,9 @@ class BuildEngine:
                 self._publish(name, ifaces[name].text, genexts[name].source)
         if order:
             # Advance the refs so the *next* build can find this one's
-            # per-def records even after an edit changes every key.  A
-            # no-op rebuild moves no key and leaves the file untouched.
+            # interfaces (for the cut-off report) even after an edit
+            # changes every key.  A no-op rebuild moves no key and leaves
+            # the file untouched.
             refs = self.cache.read_refs()
             merged = dict(refs)
             merged.update({name: keys[name] for name in order})
@@ -774,7 +737,6 @@ class BuildEngine:
         for name in sorted(skipped):
             rebuilds[name] = ModuleRebuild(module=name, action="skipped")
         rebuild = RebuildReport(
-            incremental=incremental_on,
             modules=tuple(
                 rebuilds[name]
                 for name in order + sorted(set(rebuilds) - set(order))
@@ -791,89 +753,8 @@ class BuildEngine:
             cache=self.cache,
             report=self._report(failures, skipped, order, stats),
             obs=obs,
-            incremental=list(stats.incremental),
             rebuild=rebuild,
         )
-
-    def _incremental_pass(self, misses, sources, ifaces, genexts, keys,
-                          rebuilds, prev_refs, dep_maps, note_interface,
-                          store, stats, obs):
-        """Try the per-definition rebuild for each cache miss; returns
-        the misses that still need the worker pool.
-
-        Strictly a fast path: a module with no previous defs record, a
-        structural change, or *any* exception during the attempt drops
-        back to whole-module analysis — the build's output can never
-        depend on this pass, only its cost can.  Exceptions are not
-        silent, though: each one counts as ``incr.fallback_errors`` and
-        the first per module is emitted as an ``incremental.error``
-        event; under :data:`STRICT_INCREMENTAL` they propagate."""
-        remaining = []
-        for name in misses:
-            src = sources[name]
-            prev_key = prev_refs.get(name)
-            prev_doc = None
-            if prev_key is not None:
-                prev_text = self.cache.get_text(prev_key, DEFS_KIND)
-                if prev_text is not None:
-                    prev_doc = parse_defs_doc(prev_text)
-            if prev_doc is None:
-                remaining.append(name)  # cold module: not a fallback
-                continue
-            schemes, digests = dep_maps(src)
-            try:
-                inc = try_incremental(
-                    src.module, schemes, digests, prev_doc,
-                    self.force_residual,
-                )
-            except Exception as exc:
-                if STRICT_INCREMENTAL:
-                    raise
-                stats.note_incremental_error(name)
-                if name not in self._incremental_errors_seen:
-                    self._incremental_errors_seen.add(name)
-                    obs.bus.emit(
-                        "incremental.error",
-                        module=name,
-                        error="%s: %s" % (type(exc).__name__, exc),
-                    )
-                inc = None
-            if inc is None:
-                stats.note_incremental_fallback(name)
-                remaining.append(name)
-                continue
-            key = keys[name]
-            self.cache.put_text(key, IFACE_KIND, inc.iface_text)
-            self.cache.put_text(key, GENEXT_KIND, inc.genext.source)
-            self.cache.put_text(key, DEFS_KIND, defs_doc_text(inc.defs_doc))
-            iface = store.load_text(
-                inc.iface_text, origin="<incremental %s>" % name
-            )
-            ifaces[name] = iface
-            genexts[name] = inc.genext
-            note_interface(name, iface)
-            stats.note_incremental(name)
-            stats.note_defs(
-                reused=len(inc.reused),
-                re_derived=len(inc.re_derived),
-                cut_off=len(inc.cut_off),
-            )
-            obs.bus.emit(
-                "incremental.module",
-                module=name,
-                key=key,
-                reused=len(inc.reused),
-                re_derived=len(inc.re_derived),
-                cut_off=len(inc.cut_off),
-            )
-            rebuilds[name] = ModuleRebuild(
-                module=name,
-                action="incremental",
-                reused=tuple(inc.reused),
-                re_derived=tuple(inc.re_derived),
-                cut_off=tuple(inc.cut_off),
-            )
-        return remaining
 
     def _report(self, failures, skipped, order, stats):
         return BuildReport(

@@ -41,10 +41,6 @@ RESID_KIND = "resid.json"
 # marshalled code object lives under CODE_KIND (cache-tag keyed, so a
 # different interpreter recompiles from this source instead).
 RESID_PY_KIND = "resid.py"
-# Per-definition build records (repro.pipeline.incremental): one JSON
-# document per module build holding each SCC's schemes, dependency
-# reads and cogen fragments, keyed like the module's other artifacts.
-DEFS_KIND = "defs.json"
 
 OBJECTS_DIRNAME = "objects"
 QUARANTINE_DIRNAME = "quarantine"
@@ -139,10 +135,10 @@ class ArtifactCache:
         """The ``module name -> last successful build key`` map.
 
         Refs are the store's only mutable state (git-refs-style): they
-        let a rebuild find the *previous* build's immutable artifacts
-        after an edit changed every key.  A missing or corrupt refs
-        file is an empty map — incremental rebuilds then simply fall
-        back to full analysis."""
+        let a rebuild find the *previous* build's interfaces after an
+        edit changed every key, to report where invalidation was cut
+        off.  A missing or corrupt refs file is an empty map: the next
+        build then reports no cut-off definitions."""
         try:
             with open(self.refs_path()) as f:
                 refs = json.load(f)

@@ -55,7 +55,6 @@ from repro.bt.interface import InterfaceError, InterfaceStore
 from repro.pipeline.pool import WorkerPool
 from repro.pipeline.cache import (
     CODE_KIND,
-    DEFS_KIND,
     GENEXT_KIND,
     IFACE_KIND,
     QUARANTINE_DIRNAME,
@@ -488,9 +487,10 @@ class FsckReport:
     ``stale`` is a *distinct* finding kind — artifacts that are intact
     but that no loader on this interpreter would use (a tier-2 code
     object with another build's cache tag, an emitted ``resid.py``
-    missing its header).  Both move to the quarantine directory (a
-    stale object is dead weight either way and regenerates on demand),
-    but tooling can tell rot from drift."""
+    missing its header, an object of a retired kind such as
+    ``defs.json``).  Both move to the quarantine directory (a
+    stale object is dead weight either way; a live kind regenerates on
+    demand), but tooling can tell rot from drift."""
 
     scanned: int = 0
     quarantined: List[Tuple[str, str]] = field(default_factory=list)
@@ -540,6 +540,13 @@ def _validate_object(kind, data):
     """``None`` if ``data`` is a well-formed artifact of ``kind``, else
     a ``(category, reason)`` pair — ``"corrupt"`` for damage,
     ``"stale"`` for intact-but-unusable (see :class:`FsckReport`)."""
+    if kind == "defs.json":
+        # Earlier versions wrote one per module build; no reader uses it
+        # any more, so intact or not it is drift, not damage.
+        return (
+            "stale",
+            "retired artifact kind 'defs.json' (per-definition build record)",
+        )
     if not data:
         return ("corrupt", "empty object")
     if kind == IFACE_KIND:
@@ -555,19 +562,6 @@ def _validate_object(kind, data):
             # distinct reason lets tooling tell the two apart.
             rule, def_name, msg = findings[0]
             return ("stale", "iface.%s: %s" % (rule, msg))
-        return None
-    if kind == DEFS_KIND:
-        from repro.pipeline.incremental import parse_defs_doc
-
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return ("corrupt", "corrupt defs record: %s" % exc)
-        if parse_defs_doc(text) is None:
-            return (
-                "corrupt",
-                "corrupt defs record: not a %s document" % "repro.defs/v1",
-            )
         return None
     if kind == GENEXT_KIND:
         try:
@@ -623,9 +617,10 @@ def fsck_cache(cache):
 
     Intact artifacts no loader on this interpreter would use — a
     tier-2 code record with a foreign cache tag, an emitted
-    ``resid.py`` without its header — are quarantined too but reported
-    under the distinct ``stale`` finding kind (they regenerate on
-    demand; see :class:`FsckReport`).  Code objects of *other*
+    ``resid.py`` without its header, a retired ``defs.json`` record —
+    are quarantined too but reported
+    under the distinct ``stale`` finding kind (a live kind regenerates
+    on demand; see :class:`FsckReport`).  Code objects of *other*
     interpreters cannot be validated here and are reported as foreign,
     untouched.  Damaged objects move to
     ``<root>/quarantine/<filename>`` (same-filesystem rename), so

@@ -16,13 +16,12 @@ class ModuleRebuild:
     """What one build did for one module.
 
     ``action`` is one of ``"cached"`` (module key hit — nothing ran),
-    ``"incremental"`` (rebuilt per-definition in the parent),
-    ``"analysed"`` (full analyse+cogen in a worker), ``"failed"`` or
-    ``"skipped"`` (inside a failed cone).  The def tuples partition the
-    module's definitions for the first three actions: ``reused`` came
-    verbatim from the previous build, ``re_derived`` were re-analysed,
-    and ``cut_off`` ⊆ ``re_derived`` landed on an unchanged scheme
-    digest — the definitions at which invalidation stopped."""
+    ``"analysed"`` (whole-module analyse+cogen), ``"failed"`` or
+    ``"skipped"`` (inside a failed cone).  A cached module lists every
+    definition as ``reused``; an analysed one lists them as
+    ``re_derived``, and ``cut_off`` ⊆ ``re_derived`` are those whose
+    scheme digest matches the module's previous build — the definitions
+    at which invalidation stopped."""
 
     module: str
     action: str
@@ -46,7 +45,6 @@ class RebuildReport:
     :class:`~repro.pipeline.build.BuildResult` and surfaced by
     ``mspec build --stats`` / ``--json``."""
 
-    incremental: bool = True
     modules: Tuple[ModuleRebuild, ...] = ()
 
     def __iter__(self):
@@ -69,11 +67,9 @@ class RebuildReport:
 
     def as_dict(self):
         return {
-            "incremental": self.incremental,
             "modules": [m.as_dict() for m in self.modules],
             "totals": {
                 "cached": len(self.by_action("cached")),
-                "incremental": len(self.by_action("incremental")),
                 "analysed": len(self.by_action("analysed")),
                 "failed": len(self.by_action("failed")),
                 "skipped": len(self.by_action("skipped")),
@@ -85,23 +81,8 @@ class RebuildReport:
 
     def render(self):
         """A short human-readable summary (``mspec build --stats``)."""
-        totals = self.as_dict()["totals"]
-        lines = [
-            "rebuild: %(cached)d cached, %(incremental)d incremental, "
-            "%(analysed)d analysed (defs: %(defs_reused)d reused / "
-            "%(defs_re_derived)d re-derived / %(defs_cut_off)d cut off)"
-            % totals
-        ]
-        for m in self.by_action("incremental"):
-            lines.append(
-                "  %s: %d reused, re-derived %s%s"
-                % (
-                    m.module,
-                    len(m.reused),
-                    ", ".join(m.re_derived) or "-",
-                    " (cut off: %s)" % ", ".join(m.cut_off)
-                    if m.cut_off
-                    else "",
-                )
-            )
-        return "\n".join(lines)
+        return (
+            "rebuild: %(cached)d cached, %(analysed)d analysed "
+            "(defs: %(defs_reused)d reused / %(defs_re_derived)d re-derived "
+            "/ %(defs_cut_off)d cut off)" % self.as_dict()["totals"]
+        )

@@ -25,13 +25,9 @@ Metric names (see ``docs/observability.md`` for the full glossary):
 ``modules.analysed``      counter modules analysed+cogen'd this build
 ``modules.failed``        counter modules whose job exhausted retries
 ``modules.skipped``       counter modules inside a failed cone
-``incr.defs_reused``      counter defs reused verbatim from the last build
 ``incr.defs_re_derived``  counter defs whose scheme was re-derived
 ``incr.defs_cut_off``     counter re-derived defs with unchanged digests
-``incr.modules_incremental`` counter modules rebuilt per-definition
 ``incr.modules_skipped``  counter dep-changed modules saved by cutoff
-``incr.fallbacks``        counter incremental attempts degraded to full
-``incr.fallback_errors``  counter fallbacks caused by a raised exception
 ``link.modules_reused``   counter modules whose linked namespace was reused
 ``link.modules_executed`` counter modules the link executed
 ``faults.retries``        counter re-attempts after error/timeout
@@ -50,7 +46,7 @@ from contextlib import contextmanager
 from repro.obs.metrics import MetricsRegistry
 
 # Stage names in pipeline order, for stable reporting.
-STAGES = ("scan", "schedule", "cache", "incremental", "analyse", "publish", "link")
+STAGES = ("scan", "schedule", "cache", "analyse", "publish", "link")
 
 _STAGE_PREFIX = "stage."
 
@@ -91,7 +87,6 @@ class PipelineStats:
         self.wave_widths = ()
         self.analysed = []  # cache misses, in publish order
         self.cached = []  # cache hits
-        self.incremental = []  # rebuilt per-definition in the parent
         self.failed = []  # exhausted retries
         self.skipped = []  # in a failed cone
 
@@ -137,15 +132,8 @@ class PipelineStats:
         self.analysed.append(name)
         self.metrics.counter("modules.analysed").inc()
 
-    def note_incremental(self, name):
-        """One module rebuilt per-definition in the parent (no worker)."""
-        self.incremental.append(name)
-        self.metrics.counter("incr.modules_incremental").inc()
-
-    def note_defs(self, reused=0, re_derived=0, cut_off=0):
+    def note_defs(self, re_derived=0, cut_off=0):
         """Per-definition accounting for one module's rebuild."""
-        if reused:
-            self.metrics.counter("incr.defs_reused").inc(reused)
         if re_derived:
             self.metrics.counter("incr.defs_re_derived").inc(re_derived)
         if cut_off:
@@ -156,16 +144,6 @@ class PipelineStats:
         build — i.e. a module that def-level keying specifically saved
         from re-analysis (module-level keys would have missed)."""
         self.metrics.counter("incr.modules_skipped").inc()
-
-    def note_incremental_fallback(self, name):
-        """An incremental attempt that degraded to full module analysis."""
-        self.metrics.counter("incr.fallbacks").inc()
-
-    def note_incremental_error(self, name):
-        """An incremental attempt that degraded because it *raised* —
-        a fast-path bug being papered over, as opposed to a structural
-        change legitimately outside the fast path's scope."""
-        self.metrics.counter("incr.fallback_errors").inc()
 
     def note_failed(self, name):
         self.failed.append(name)
@@ -199,16 +177,11 @@ class PipelineStats:
             "wave_widths": list(self.wave_widths),
             "analysed": list(self.analysed),
             "cached": list(self.cached),
-            "incremental": list(self.incremental),
             "n_analysed": len(self.analysed),
             "n_cached": len(self.cached),
-            "n_incremental": len(self.incremental),
-            "defs_reused": counter("incr.defs_reused"),
             "defs_re_derived": counter("incr.defs_re_derived"),
             "defs_cut_off": counter("incr.defs_cut_off"),
             "modules_cutoff_skipped": counter("incr.modules_skipped"),
-            "incremental_fallbacks": counter("incr.fallbacks"),
-            "incremental_fallback_errors": counter("incr.fallback_errors"),
             "failed": list(self.failed),
             "skipped": list(self.skipped),
             "retries": self.retries,
@@ -235,19 +208,11 @@ class PipelineStats:
             "artifacts: %d analysed+cogen'd, %d from cache"
             % (len(self.analysed), len(self.cached))
         )
-        counter = lambda name: self.metrics.counter(name).value
-        if self.incremental or counter("incr.defs_cut_off"):
+        cutoff_skips = self.metrics.counter("incr.modules_skipped").value
+        if cutoff_skips:
             lines.append(
-                "incremental: %d module(s) rebuilt per-def "
-                "(%d defs reused / %d re-derived / %d cut off), "
-                "%d dependent module(s) skipped by cutoff"
-                % (
-                    len(self.incremental),
-                    counter("incr.defs_reused"),
-                    counter("incr.defs_re_derived"),
-                    counter("incr.defs_cut_off"),
-                    counter("incr.modules_skipped"),
-                )
+                "cutoff: %d module(s) cached although an import's "
+                "interface changed" % cutoff_skips
             )
         if self.failed or self.skipped:
             lines.append(

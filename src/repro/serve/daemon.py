@@ -263,9 +263,8 @@ class SpecServer:
             # stale, so the next request relinks again — never the
             # other way round (a fresh digest over a stale program).
             digest = _source_digest(self.config.dir)
-            # Relinks ride the incremental build cache: a watched-source
-            # edit re-derives only its definition cone and reassembles
-            # the rest from the cache's per-def records.
+            # Relinks ride the build cache: a watched-source edit
+            # re-analyses only the modules whose build keys it moves.
             result = build_dir(
                 self.config.dir,
                 BuildOptions(

@@ -262,17 +262,6 @@ def _strict_event_bus(monkeypatch):
     monkeypatch.setattr(EventBus, "__init__", strict_init)
 
 
-@pytest.fixture(autouse=True)
-def _strict_incremental(monkeypatch):
-    """Run the incremental fast path in strict mode: an exception inside
-    ``try_incremental`` fails the test instead of silently degrading to
-    whole-module analysis.  Tests of the fallback accounting itself
-    monkeypatch ``STRICT_INCREMENTAL`` back to ``False``."""
-    from repro.pipeline import build
-
-    monkeypatch.setattr(build, "STRICT_INCREMENTAL", True)
-
-
 def corpus_ids():
     return [c["name"] for c in CORPUS]
 

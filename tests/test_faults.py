@@ -332,12 +332,11 @@ def test_corrupt_artifact_quarantined_by_fsck_and_rebuilt(tmp_path):
         os.path.join(cache_dir, QUARANTINE_DIRNAME, names[0])
     )
 
-    # The rebuild redoes exactly the damaged module (per-definition,
-    # from its intact defs record); early cutoff keeps its importer
-    # cached (the recomputed interface is identical).
+    # The rebuild redoes exactly the damaged module; early cutoff keeps
+    # its importer cached (the recomputed interface is identical).
     again = build_dir(src, BuildOptions(cache_dir=cache_dir))
     assert again.cached and "B1" not in again.cached
-    assert again.analysed + again.incremental == ["B1"]
+    assert again.analysed == ["B1"]
     assert again.report.ok
 
 
@@ -352,7 +351,7 @@ def test_corrupt_entry_is_a_miss_even_without_fsck(tmp_path):
     FaultPlan.uninstall()
     again = build_dir(src, BuildOptions(cache_dir=cache_dir))
     assert "B1" not in again.cached
-    assert again.analysed + again.incremental == ["B1"]
+    assert again.analysed == ["B1"]
 
 
 def test_fsck_quarantines_every_damaged_object_kind(tmp_path):
@@ -412,6 +411,24 @@ def test_fsck_skips_foreign_interpreter_code_objects(tmp_path):
     report = fsck_cache(cache)
     assert report.ok
     assert report.foreign == ["a" * 64 + ".code-otherpython-999.bin"]
+
+
+def test_fsck_reports_a_leftover_defs_record_as_stale(tmp_path):
+    """Caches written before the per-definition records were retired
+    still hold ``<key>.defs.json`` objects: drift, not damage."""
+    src = _write_grid(tmp_path)
+    cache_dir = str(tmp_path / "cache")
+    result = build_dir(src, BuildOptions(cache_dir=cache_dir))
+    cache = ArtifactCache(cache_dir)
+    key = result.keys["B1"]
+    cache.put_text(key, "defs.json", '{"module": "B1", "sccs": []}\n')
+    report = fsck_cache(cache)
+    assert report.quarantined == []
+    (finding,) = report.stale
+    assert finding[0] == "%s.defs.json" % key
+    assert "retired" in finding[1] and "defs.json" in finding[1]
+    assert not cache.has(key, "defs.json")
+    assert fsck_cache(cache).ok, "the rest of the cache is intact"
 
 
 # ---------------------------------------------------------------------------

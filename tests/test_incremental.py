@@ -1,5 +1,5 @@
-"""Definition-level incremental recompilation: early cutoff, byte
-identity against from-scratch builds, the InterfaceStore facade, and
+"""Definition-level early cutoff: def-level keys, byte identity of
+rebuilds against from-scratch builds, the InterfaceStore facade, and
 the def_digest_skew finding."""
 
 import json
@@ -17,7 +17,7 @@ from repro.bt.interface import (
 from repro.bt.scheme import BTScheme
 from repro.check.ifaces import check_interfaces
 from repro.pipeline import ArtifactCache, build_dir, fsck_cache
-from repro.pipeline.cache import DEFS_KIND, IFACE_KIND
+from repro.pipeline.cache import IFACE_KIND
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_SEEDS = sorted(glob.glob(os.path.join(CORPUS_DIR, "seed*.json")))
@@ -77,7 +77,7 @@ def _artifacts(result):
 
 
 # ---------------------------------------------------------------------------
-# The chain: cutoff behaviour, fallbacks, and the off switch.
+# The chain: cutoff behaviour.
 # ---------------------------------------------------------------------------
 
 
@@ -87,22 +87,20 @@ def test_body_edit_cuts_off_inside_the_module(tmp_path):
     cache = str(tmp_path / "cache")
     build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     # Change m0_f1's body without changing its scheme (a different
-    # multiplier): the def is re-derived, lands on an identical scheme
-    # digest, and every other def and module is untouched.
+    # multiplier): M0 is re-analysed whole, every def lands on an
+    # identical scheme digest, and every other module is untouched.
     _write(tmp_path, "M0", sources["M0"].replace("x * 2", "x * 3"))
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    assert result.analysed == []
-    assert result.incremental == ["M0"]
+    assert result.analysed == ["M0"]
     assert sorted(result.cached) == sorted("M%d" % i for i in range(1, 8))
-    (entry,) = result.rebuild.by_action("incremental")
+    (entry,) = result.rebuild.by_action("analysed")
     assert entry.module == "M0"
-    assert entry.reused == ("m0_f0",)
-    assert entry.re_derived == ("m0_f1",)
-    assert entry.cut_off == ("m0_f1",)
+    assert entry.reused == ()
+    assert entry.re_derived == ("m0_f0", "m0_f1")
+    assert entry.cut_off == ("m0_f0", "m0_f1")
     stats = result.stats.as_dict()
-    assert stats["defs_cut_off"] == 1
-    assert stats["defs_reused"] == 1
-    assert stats["defs_re_derived"] == 1
+    assert stats["defs_cut_off"] == 2
+    assert stats["defs_re_derived"] == 2
 
 
 def test_body_edit_output_is_byte_identical_to_cold_build(tmp_path):
@@ -114,7 +112,7 @@ def test_body_edit_output_is_byte_identical_to_cold_build(tmp_path):
     build_dir(str(warm_dir), BuildOptions(cache_dir=str(tmp_path / "wc")))
     _write_all(warm_dir, edited)
     incr = build_dir(str(warm_dir), BuildOptions(cache_dir=str(tmp_path / "wc")))
-    assert incr.incremental == ["M0"]
+    assert incr.analysed == ["M0"]
 
     _write_all(cold_dir, edited)
     cold = build_dir(str(cold_dir), BuildOptions(cache_dir=str(tmp_path / "cc")))
@@ -142,12 +140,11 @@ def test_scheme_change_skips_every_dependent_module(tmp_path):
         ),
     )
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    assert result.analysed == [], "no dependent module was fully re-analysed"
-    assert result.incremental == ["M0"]
+    assert result.analysed == ["M0"], "no dependent module was re-analysed"
     assert sorted(result.cached) == sorted("M%d" % i for i in range(1, n))
-    (entry,) = result.rebuild.by_action("incremental")
-    assert entry.re_derived == ("m0_f1",)
-    assert entry.cut_off == (), "the scheme really changed"
+    (entry,) = result.rebuild.by_action("analysed")
+    assert entry.re_derived == ("m0_f0", "m0_f1")
+    assert entry.cut_off == ("m0_f0",), "m0_f1's scheme really changed"
     # Only the direct importer was ever at risk: M0's interface text
     # changed, but M1's def-level key ignores the unreferenced def, so
     # M1 stays cached — and because M1's interface is then unchanged,
@@ -156,25 +153,14 @@ def test_scheme_change_skips_every_dependent_module(tmp_path):
     assert stats["modules_cutoff_skipped"] == 1
 
 
-def test_structural_change_falls_back_to_full_analysis(tmp_path):
-    sources = _chain(4)
-    _write_all(tmp_path, sources)
-    cache = str(tmp_path / "cache")
-    build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    _write(tmp_path, "M0", sources["M0"] + "m0_new n x = x\n")
-    result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    assert result.analysed == ["M0"]
-    assert result.incremental == []
-    assert result.stats.as_dict()["incremental_fallbacks"] == 1
-
-
 def test_rebuild_report_shape(tmp_path):
     sources = _chain(3)
     _write_all(tmp_path, sources)
     cache = str(tmp_path / "cache")
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     doc = result.rebuild.as_dict()
-    assert doc["incremental"] is True
+    assert "incremental" not in doc
+    assert "incremental" not in doc["totals"]
     assert doc["totals"]["analysed"] == 3
     assert [m["module"] for m in doc["modules"]] == ["M0", "M1", "M2"]
     for m in doc["modules"]:
@@ -201,7 +187,7 @@ def test_cli_json_carries_the_rebuild_report(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Corpus property: incremental output == from-scratch output, per seed.
+# Corpus property: rebuilt output == from-scratch output, per seed.
 # ---------------------------------------------------------------------------
 
 
@@ -270,9 +256,9 @@ def test_corpus_single_def_edit_is_byte_identical_to_cold(tmp_path, seed_path):
 
 
 def test_corpus_edit_residuals_agree_with_cold_build(tmp_path):
-    """Differential spot-check (first three seeds): the incrementally
-    rebuilt program and a from-scratch build specialise every corpus
-    goal variant to byte-identical residuals and values."""
+    """Differential spot-check (first three seeds): the rebuilt program
+    and a from-scratch build specialise every corpus goal variant to
+    byte-identical residuals and values."""
     import repro
     from repro.api import SpecOptions
 
@@ -383,27 +369,22 @@ def test_fsck_quarantines_digest_skew_distinctly(tmp_path):
     assert not report.ok
 
 
-def test_defs_record_is_published_and_parseable(tmp_path):
-    from repro.pipeline.incremental import parse_defs_doc
-
+def test_build_publishes_no_defs_record_and_advances_refs(tmp_path):
     sources = _chain(2)
     _write_all(tmp_path, sources)
     result = build_dir(
         str(tmp_path), BuildOptions(cache_dir=str(tmp_path / "cache"))
     )
-    for name in sources:
-        text = result.cache.get_text(result.keys[name], DEFS_KIND)
-        doc = parse_defs_doc(text)
-        assert doc is not None
-        assert doc["module"] == name
-        assert doc["def_order"] == ["m%s_f0" % name[1:], "m%s_f1" % name[1:]]
+    objects = [filename for _, filename in result.cache.objects()]
+    assert objects
+    assert not [f for f in objects if f.endswith(".defs.json")]
     refs = result.cache.read_refs()
     assert refs == result.keys
 
 
 def test_isomorphic_scheme_reuse_survives_missing_refs(tmp_path):
-    """Deleting refs.json only disables the fast path — the rebuild
-    falls back to full analysis and still produces the same bytes."""
+    """Deleting refs.json only loses the cut-off report: the rebuild
+    has no previous interface to compare against."""
     sources = _chain(3)
     _write_all(tmp_path, sources)
     cache_dir = str(tmp_path / "cache")
@@ -411,8 +392,10 @@ def test_isomorphic_scheme_reuse_survives_missing_refs(tmp_path):
     os.unlink(ArtifactCache(cache_dir).refs_path())
     _write(tmp_path, "M0", sources["M0"].replace("x * 2", "x * 3"))
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
-    assert result.analysed == ["M0"], "no refs: whole-module fallback"
-    assert result.incremental == []
+    assert result.analysed == ["M0"]
+    assert result.cached == ["M1", "M2"]
+    (entry,) = result.rebuild.by_action("analysed")
+    assert entry.cut_off == (), "no refs: nothing to compare against"
     assert result.report.ok
 
 
@@ -443,7 +426,7 @@ def test_one_literal_edit_on_a_60_module_chain_parses_one_file(
     _write(tmp_path, "M30", edited)
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     assert parsed == [edited]
-    assert result.incremental == ["M30"]
+    assert result.analysed == ["M30"]
     assert len(result.cached) == 59
 
     # A no-op rebuild parses nothing at all.

@@ -504,3 +504,28 @@ def test_validate_file_recognises_bench_documents(tmp_path):
 
 def test_committed_bench_document_is_valid():
     assert validate_file(_SOAK_RECORD) == ("bench", [])
+
+
+# ---------------------------------------------------------------------------
+# The benchmark suite's layer wrappers.
+# ---------------------------------------------------------------------------
+
+
+def test_suite_wrap_sites_install_and_restore():
+    """Every name ``benchmarks/suite/layers.py`` wraps for a traced run
+    still exists (a missing one kills every traced suite run), and
+    leaving the block puts the original back."""
+    import importlib.util
+
+    from repro.pipeline import incremental
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "benchmarks", "suite", "layers.py"
+    )
+    spec = importlib.util.spec_from_file_location("suite_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    original = incremental.cogen_def
+    with layers.installed(Tracer()):
+        assert incremental.cogen_def is not original
+    assert incremental.cogen_def is original

@@ -71,16 +71,14 @@ def test_root_edit_rebuilds_dirty_cone_with_early_cutoff(tmp_path):
     cache = str(tmp_path / "cache")
     build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     # A comment-only edit: M0's interface is unchanged, so the cone
-    # stops at M0 itself — and M0 itself is rebuilt per-definition in
-    # the parent (every SCC record is reused verbatim).
+    # stops at M0 itself, which is re-analysed whole.
     _write(tmp_path, "M0", "-- tweaked\n" + sources["M0"])
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    assert result.analysed == []
-    assert result.incremental == ["M0"]
+    assert result.analysed == ["M0"]
     assert sorted(result.cached) == ["M1", "M2", "M3"]
-    # A structural edit (new definition): M0 falls back to whole-module
-    # analysis, but no importer references the new def, so every
-    # dependent module's def-level key still hits.
+    # A new definition changes M0's interface, but no importer
+    # references it, so every dependent module's def-level key still
+    # hits.
     _write(tmp_path, "M0", sources["M0"] + "m0_new n x = x\n")
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     assert result.analysed == ["M0"]
@@ -96,7 +94,7 @@ def test_force_residual_is_part_of_the_key(tmp_path):
         BuildOptions(cache_dir=cache, force_residual=frozenset(["power"])),
     )
     assert forced.cached == [], "different options, different key"
-    assert forced.analysed + forced.incremental == ["Power"]
+    assert forced.analysed == ["Power"]
     assert forced.keys["Power"] != plain.keys["Power"]
     again = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     assert again.analysed == [], "the plain entry is still cached"
@@ -108,14 +106,12 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path):
     first = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
     cache = ArtifactCache(cache_dir)
     key = first.keys["Power"]
+    good = cache.get_text(key, IFACE_KIND)
     cache.put_text(key, IFACE_KIND, '{"torn":')
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
     assert result.cached == [], "corrupt entry treated as a miss"
-    assert result.analysed + result.incremental == ["Power"]
-    assert cache.get_text(key, IFACE_KIND).startswith("{")
-    # With the defs record intact the repair itself was incremental;
-    # its interface must have been rebuilt byte-identically.
-    assert cache.get_text(key, IFACE_KIND) is not None
+    assert result.analysed == ["Power"]
+    assert cache.get_text(key, IFACE_KIND) == good
 
 
 def test_published_artifacts_and_no_temp_droppings(tmp_path, capsys):
@@ -292,6 +288,34 @@ def test_scan_memo_hit_still_checks_the_file_name(tmp_path):
     assert list(failures) == ["Other"]
     assert failures["Other"].error_class == "ValidationError"
     assert "file name must match" in failures["Other"].message
+
+
+def test_non_utf8_source_is_a_module_failure(tmp_path, capsys):
+    from repro.cli import main
+    from repro.pipeline import FaultPolicy
+
+    _write(tmp_path, "Power", POWER)
+    with open(os.path.join(str(tmp_path), "Bad.mod"), "wb") as f:
+        f.write(b"module Bad where\n\n-- caf\xe9\nb n = n\n")
+    result = build_dir(
+        str(tmp_path),
+        BuildOptions(
+            cache_dir=str(tmp_path / "cache"),
+            policy=FaultPolicy(keep_going=True),
+        ),
+    )
+    (failure,) = result.report.failures
+    assert failure.module == "Bad"
+    assert failure.kind == "error"
+    assert "Bad.mod" in failure.message
+    assert result.report.succeeded == ["Power"]
+    assert result.analysed == ["Power"]
+
+    for command in ("build", "analyze"):
+        assert main([command, str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "Bad" in captured.err and "Bad.mod" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_noop_rebuild_leaves_refs_untouched(tmp_path):

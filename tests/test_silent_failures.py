@@ -1,21 +1,17 @@
 """Regression tests for the silent-failure sweep: the daemon's
-wall-clock uptime, the incremental fast path's swallowed exceptions,
-and the execution ladder's undecodable code artifacts.  Each failure
-mode must now be accounted (a counter and, where applicable, an event)
-instead of disappearing."""
+wall-clock uptime and the execution ladder's undecodable code
+artifacts.  Each failure mode must now be accounted (a counter and,
+where applicable, an event) instead of disappearing."""
 
 import marshal
-import os
 import time
 
 import pytest
 
 import repro
-from repro.api import BuildOptions, SpecOptions
+from repro.api import SpecOptions
 from repro.backend.tiers import TierPolicy, clear_tiers, load_compiled
 from repro.obs import Obs
-from repro.pipeline import build as build_mod
-from repro.pipeline.build import build_dir
 from repro.pipeline.cache import ArtifactCache, CODE_KIND
 from repro.serve import ServeConfig, SpecServer
 
@@ -23,13 +19,6 @@ POWER = """\
 module Power where
 
 power n x = if n == 1 then x else x * power (n - 1) x
-"""
-
-M0 = """\
-module M0 where
-
-m0_f0 n x = if n == 0 then x else m0_f0 (n - 1) (x * 2)
-m0_f1 n x = if n == 0 then x else m0_f1 (n - 1) (x * 3)
 """
 
 
@@ -85,90 +74,6 @@ class TestDaemonClocks:
         a = self._health(server)
         b = self._health(server)
         assert b["uptime_s"] >= a["uptime_s"] >= 0
-
-
-# ---------------------------------------------------------------------------
-# pipeline/build.py: exceptions in the incremental fast path
-# ---------------------------------------------------------------------------
-
-
-class TestIncrementalErrorAccounting:
-    def _prime(self, tmp_path):
-        src = tmp_path / "src"
-        src.mkdir()
-        with open(str(src / "M0.mod"), "w") as f:
-            f.write(M0)
-        cache = str(tmp_path / "cache")
-        build_dir(str(src), BuildOptions(cache_dir=cache))
-        # A body-only edit, so the next build attempts the fast path.
-        with open(str(src / "M0.mod"), "w") as f:
-            f.write(M0.replace("x * 2", "x * 5"))
-        return str(src), cache
-
-    def test_fast_path_exception_is_counted_and_emitted(
-        self, tmp_path, monkeypatch
-    ):
-        src, cache = self._prime(tmp_path)
-        monkeypatch.setattr(build_mod, "STRICT_INCREMENTAL", False)
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected fast-path bug")
-
-        monkeypatch.setattr(build_mod, "try_incremental", boom)
-        events = []
-        obs = Obs()
-        obs.bus.subscribe(
-            "incremental.error", lambda kind, payload: events.append(payload)
-        )
-        result = build_dir(str(src), BuildOptions(cache_dir=cache), obs=obs)
-        # The build still succeeds — by falling back to whole-module
-        # analysis — but the fallback is accounted, not silent.
-        assert result.report.ok
-        assert result.analysed == ["M0"]
-        stats = result.stats.as_dict()
-        assert stats["incremental_fallback_errors"] == 1
-        assert len(events) == 1
-        assert events[0]["module"] == "M0"
-        assert "injected fast-path bug" in events[0]["error"]
-
-    def test_first_failure_per_module_reported_once(
-        self, tmp_path, monkeypatch
-    ):
-        src, cache = self._prime(tmp_path)
-        monkeypatch.setattr(build_mod, "STRICT_INCREMENTAL", False)
-        monkeypatch.setattr(
-            build_mod,
-            "try_incremental",
-            lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")),
-        )
-        events = []
-        obs = Obs()
-        obs.bus.subscribe(
-            "incremental.error", lambda kind, payload: events.append(payload)
-        )
-        from repro.pipeline.build import BuildEngine
-
-        engine = BuildEngine(src, BuildOptions(cache_dir=cache), obs=obs)
-        engine.build()
-        # Same engine, second build: the module's error was already
-        # reported, so the event does not repeat (the counter does).
-        with open(os.path.join(src, "M0.mod"), "w") as f:
-            f.write(M0.replace("x * 2", "x * 7"))
-        engine.build()
-        assert len(events) == 1
-
-    def test_strict_mode_re_raises(self, tmp_path, monkeypatch):
-        src, cache = self._prime(tmp_path)
-        # conftest already flips STRICT_INCREMENTAL on for every test;
-        # assert the strictness actually bites.
-        assert build_mod.STRICT_INCREMENTAL
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected fast-path bug")
-
-        monkeypatch.setattr(build_mod, "try_incremental", boom)
-        with pytest.raises(RuntimeError, match="injected fast-path bug"):
-            build_dir(str(src), BuildOptions(cache_dir=cache))
 
 
 # ---------------------------------------------------------------------------
