@@ -6,7 +6,7 @@ from typing import Dict, Tuple
 from repro.bt.analysis import analyse_module
 from repro.bt.bttypes import BTTBase, BTTFun, BTTList, BTTPair, BTTSkel
 from repro.bt.scheme import BTScheme
-from repro.genext.cogen import cogen_module
+from repro.genext.cogen import cogen_module, mk_name
 from repro.genext.link import LoadedModule
 from repro.lang.validate import resolve_module
 
@@ -170,9 +170,11 @@ def _slots(t):
     return out
 
 
-def _make_adapter(namespace, raw_name, assumed):
+def _make_adapter(actual, assumed):
     """Wrap the actual parameter's generating version so its result is
-    coerced to the binding-time type the functor assumed.
+    coerced to the binding-time type the functor assumed.  The actual
+    function is late-bound, like any imported call: it is looked up in
+    the registry of the program that runs the instance (``st.mk``).
 
     Subsumption guarantees the actual's result is *at most as dynamic*
     as assumed, so a value-directed coercion to the assumed type (which
@@ -190,7 +192,7 @@ def _make_adapter(namespace, raw_name, assumed):
     def adapter(st, *rest):
         bts = rest[:n]
         args = rest[n:]
-        out = namespace[raw_name](st, *bts, *args)
+        out = st.mk[actual](st, *bts, *args)
         btenv = dict(zip(names, bts))
         return rt.coerce(st, out, runtime_type(res_sym, btenv))
 
@@ -262,22 +264,20 @@ class FunctorTemplate:
             self.genext_source, "<functor:%s as %s>" % (self.name, inst_name), "exec"
         )
         exec(code, namespace)
-        # Re-target the parameter imports at the actual functions —
-        # through an adapter that coerces results back to the binding-time
-        # type the functor's call sites assumed (the actual may return a
-        # more static representation than the assumption promises).
-        param_names = {p for p, _ in self.params}
-        imported = {}
-        for src, py in namespace["_IMPORTED"].items():
-            if src in param_names:
-                raw = "_raw" + py
-                imported[bindings[src]] = raw
-                namespace[py] = _make_adapter(
-                    namespace, raw, self.param_schemes[src]
-                )
-            else:
-                imported[src] = py
-        namespace["_IMPORTED"] = imported
+        # The functor's calls of a parameter stay direct calls of
+        # ``mk_<param>``, bound here in this instance's own namespace to
+        # the actual function — through an adapter that coerces results
+        # back to the binding-time type the functor's call sites assumed
+        # (the actual may return a more static representation than the
+        # assumption promises).
+        params = {p for p, _ in self.params}
+        for pname in params:
+            namespace[mk_name(pname)] = _make_adapter(
+                bindings[pname], self.param_schemes[pname]
+            )
+        namespace["_IMPORTED"] = tuple(
+            sorted({bindings[n] if n in params else n for n in namespace["_IMPORTED"]})
+        )
         return LoadedModule(inst_name, self.imports, namespace), prefix
 
 
@@ -308,7 +308,7 @@ def make_functor(module, imported_schemes=None, param_schemes=None,
     env = dict(imported)
     env.update({p: param_schemes[p] for p, _ in module.params})
     analysis = analyse_module(resolved, env, force_residual)
-    genext = cogen_module(analysis)
+    genext = cogen_module(analysis, params={p for p, _ in module.params})
     return FunctorTemplate(
         name=module.name,
         params=module.params,

@@ -14,7 +14,17 @@ function ``f`` it emits:
 * one hoisted helper per lambda (the closure's body generator);
 * metadata: executable signatures for goal setup, per-function
   :class:`~repro.genext.runtime.FnInfo` for residual-module placement,
-  and a ``_link`` hook the linker uses to wire cross-module calls.
+  and ``_IMPORTED``, the names of the imported functions it calls.
+
+A call to a function of the same module is a direct call of its
+``mk_f``.  A call to an *imported* function is late-bound: it goes
+through the registry of the program that runs the extension, reached
+from the state (``st.mk['f'](st, ...)``).  So a generating extension's
+code depends on nothing but its own annotated module, and linking it
+never rebinds anything in its namespace: an executed module can be
+shared by every program that links it.  The one exception is a
+functor's parameters, which each instantiation binds in its own fresh
+namespace (:meth:`repro.functor.core.FunctorTemplate.instantiate`).
 
 The translation needs nothing but the annotated module itself — modules
 are compiled to generating extensions one at a time, in any order.
@@ -87,9 +97,10 @@ def _tuple_src(items):
 class _DefCompiler:
     """Compiles one annotated definition into Python source lines."""
 
-    def __init__(self, adef, own=frozenset()):
+    def __init__(self, adef, own=frozenset(), params=frozenset()):
         self.adef = adef
         self.own = own  # functions defined in the same module
+        self.params = params  # functor parameters, bound per instance
         self.bt_params = adef.bt_params
         self.helpers = []
         self._rename = {}
@@ -173,7 +184,11 @@ class _DefCompiler:
             parts = ["st"]
             parts += [self.bt_src(b) for b in e.bt_args]
             parts += [self.expr_src(a) for a in e.args]
-            return "%s(%s)" % (mk_name(e.func), ", ".join(parts))
+            if e.func in self.own or e.func in self.params:
+                callee = mk_name(e.func)
+            else:
+                callee = "st.mk[%r]" % e.func
+            return "%s(%s)" % (callee, ", ".join(parts))
         if isinstance(e, ALam):
             return self._lam_src(e)
         if isinstance(e, AApp):
@@ -314,15 +329,16 @@ class DefFragment:
     chunk: str  # helpers + mk_f + mk_f_body source
     sig_line: str
     info_line: str
-    imported: Tuple[Tuple[str, str], ...]  # sorted (callee, mk-name) pairs
+    imported: Tuple[str, ...]  # sorted names of the imported callees
 
 
-def cogen_def(adef, scheme, own):
+def cogen_def(adef, scheme, own, params=frozenset()):
     """Compile one annotated definition into a :class:`DefFragment`.
 
     ``own`` is the set of function names defined in the same module
-    (they qualify differently from imported names)."""
-    compiler = _DefCompiler(adef, own)
+    (they qualify differently from imported names); ``params`` are a
+    functor's parameter names, called directly like ``own`` ones."""
+    compiler = _DefCompiler(adef, own, params)
     chunk = compiler.compile()
     sig_line = "_SIGNATURES[_QUAL + %r] = %s" % (
         adef.name,
@@ -339,9 +355,7 @@ def cogen_def(adef, scheme, own):
         fvs_src,
     )
     imported = tuple(
-        (callee, mk_name(callee))
-        for callee in sorted(acalled_functions(adef.body))
-        if callee not in own
+        callee for callee in sorted(acalled_functions(adef.body)) if callee not in own
     )
     return DefFragment(
         name=adef.name,
@@ -358,29 +372,21 @@ def assemble_module(name, imports, fragments):
     Deterministic in ``(name, imports, fragments)``, so ``jobs=1`` and
     ``jobs=N`` builds publish byte-identical genext sources."""
     chunks = [HEADER % {"name": name}]
-    imported = {}
+    imported = set()
     for fr in fragments:
         chunks.append(fr.chunk)
-        for callee, py in fr.imported:
-            imported[callee] = py
+        imported.update(fr.imported)
     chunks.append("_SIGNATURES = {}\n")
     chunks.extend(fr.sig_line + "\n" for fr in fragments)
     chunks.append("\n_FN_INFO = {}\n")
     chunks.extend(fr.info_line + "\n" for fr in fragments)
-    chunks.append(
-        "\n_IMPORTED = %r\n" % (imported,)
-    )
+    chunks.append("\n_IMPORTED = %r\n" % (tuple(sorted(imported)),))
     chunks.append(
         "_EXPORTS = {%s}\n"
         % ", ".join(
             "(_QUAL + %r): %s" % (fr.name, mk_name(fr.name))
             for fr in fragments
         )
-    )
-    chunks.append(
-        "def _link(ns):\n"
-        "    for _src, _py in _IMPORTED.items():\n"
-        "        globals()[_py] = ns[_src]\n"
     )
     return GenextModule(
         name=name,
@@ -389,19 +395,22 @@ def assemble_module(name, imports, fragments):
     )
 
 
-def cogen_fragments(analysis):
+def cogen_fragments(analysis, params=frozenset()):
     """One :class:`DefFragment` per definition of a module analysis."""
     amodule = analysis.annotated
     own = {d.name for d in amodule.defs}
-    return [cogen_def(d, analysis.schemes[d.name], own) for d in amodule.defs]
+    return [
+        cogen_def(d, analysis.schemes[d.name], own, params) for d in amodule.defs
+    ]
 
 
-def cogen_module(analysis):
+def cogen_module(analysis, params=frozenset()):
     """Compile one :class:`~repro.bt.analysis.ModuleAnalysis` into a
-    :class:`GenextModule` (generated Python source)."""
+    :class:`GenextModule` (generated Python source).  ``params`` names a
+    functor's parameters (see :func:`cogen_def`)."""
     amodule = analysis.annotated
     return assemble_module(
-        amodule.name, amodule.imports, cogen_fragments(analysis)
+        amodule.name, amodule.imports, cogen_fragments(analysis, params)
     )
 
 

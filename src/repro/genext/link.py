@@ -3,16 +3,20 @@
 "Runnable generating extensions are produced by linking together the
 modules produced by cogen with libraries providing the basic mechanisms
 of specialisation" (Sec. 6).  Here each generated module is compiled
-with CPython and executed in its own namespace; ``_link`` hooks then wire
-cross-module ``mk_f`` references through a global registry.  Only the
+with CPython and executed in its own namespace, and linking collects
+every module's exported ``mk_f`` functions into one registry per
+program.  Generated code reaches an imported function through the
+registry of the program that runs it (``st.mk``, handed to every
+:class:`~repro.genext.runtime.SpecState` by :meth:`GenextProgram.new_state`),
+so linking writes nothing into a module's namespace.  Only the
 *generated* modules are needed — never the source of the modules they
 came from, which is the paper's black-box property for libraries.
 
-A :class:`LoadedModule` may be shared by several programs: the build's
-relink (:meth:`repro.pipeline.build.BuildResult.link`) reuses an
-executed namespace when ``_link`` would bind it to the very functions it
-already holds.  A namespace is therefore never rebound to a different
-function once linked, and every program keeps specialising what it did.
+A :class:`LoadedModule` may therefore be shared by any number of
+programs: the build's relink
+(:meth:`repro.pipeline.build.BuildResult.link`) reuses an executed
+namespace whenever its genext source is unchanged, and every program,
+holding its own registry, keeps specialising what it did.
 """
 
 import hashlib
@@ -70,15 +74,13 @@ class GenextProgram:
             self.fn_info.update(m.fn_info)
         missing = set()
         for m in modules:
-            for needed in m.namespace.get("_IMPORTED", {}):
+            for needed in m.namespace.get("_IMPORTED", ()):
                 if needed not in self.registry:
                     missing.add(needed)
         if missing:
             raise ValueError(
                 "unresolved functions at link time: %s" % ", ".join(sorted(missing))
             )
-        for m in modules:
-            m.namespace["_link"](self.registry)
         self._fingerprint = None
 
     def fingerprint(self):
@@ -115,7 +117,9 @@ class GenextProgram:
 
         ``deadline`` is a wall-clock budget in seconds (see
         :meth:`SpecState.check_deadline`); ``obs`` an optional
-        :class:`repro.obs.Obs` whose tracer receives the run's spans."""
+        :class:`repro.obs.Obs` whose tracer receives the run's spans.
+        The state carries this program's registry, through which the
+        generated code makes its cross-module calls."""
         return SpecState(
             self.fn_info,
             self.graph,
@@ -124,6 +128,7 @@ class GenextProgram:
             max_versions=max_versions,
             deadline=deadline,
             obs=obs,
+            registry=self.registry,
         )
 
     def genext_modules(self):
@@ -218,7 +223,7 @@ def load_genext_dir(directory):
         imports = sorted(
             {
                 module_of[f]
-                for f in ns.get("_IMPORTED", {})
+                for f in ns.get("_IMPORTED", ())
                 if f in module_of and module_of[f] != name
             }
         )

@@ -502,7 +502,11 @@ class SpecState:
     """All mutable state of one specialisation run.
 
     The paper keeps this in a monad; we pass it explicitly (``st``) to
-    every generated function.
+    every generated function.  ``st.mk`` is the registry of the linked
+    program being run (qualified function name -> generating function):
+    generated code calls every *imported* function through it, so the
+    same executed module serves every program that links it, each with
+    its own registry.
     """
 
     def __init__(
@@ -514,12 +518,14 @@ class SpecState:
         max_versions=10_000,
         deadline=None,
         obs=None,
+        registry=None,
     ):
         """``fn_info`` maps function names to :class:`FnInfo`;
         ``module_graph`` is the *source* import graph (placement needs
         its transitive-import relation); ``strategy`` is ``'bfs'`` or
         ``'dfs'``; ``sink``, if given, receives each finished residual
-        definition as ``sink(placement, definition)``.
+        definition as ``sink(placement, definition)``; ``registry`` is
+        the linked program's generating functions by name (``st.mk``).
 
         ``max_versions`` bounds the polyvariance of any single function:
         a division with unbounded static variation (the classic
@@ -541,6 +547,7 @@ class SpecState:
             raise ValueError("strategy must be 'bfs' or 'dfs'")
         self.fn_info = fn_info
         self.module_graph = module_graph
+        self.mk = registry if registry is not None else {}
         self.strategy = strategy
         self.sink = sink
         self.max_versions = max_versions

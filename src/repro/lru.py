@@ -45,6 +45,11 @@ class LruMemo:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
+    def pop(self, key):
+        """Forget ``key`` if it is memoised."""
+        with self._lock:
+            self._entries.pop(key, None)
+
     def discard_where(self, predicate):
         """Drop the first entry whose value satisfies ``predicate``;
         returns whether one was dropped."""

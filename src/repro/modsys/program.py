@@ -49,8 +49,23 @@ def link_program(program):
     function-name uniqueness, then resolves each module (in topological
     order) against the arities of the functions it imports.
     """
-    names = [m.name for m in program.modules]
-    dupes = {n for n in names if names.count(n) > 1}
+    return _link_reusing(program)
+
+
+def _exports(module):
+    """A module's ``(name, arity)`` table: all an importer's resolution
+    reads of it."""
+    return tuple((d.name, d.arity) for d in module.defs)
+
+
+def _link_reusing(program, previous=None, replaced=frozenset()):
+    """:func:`link_program`, reusing resolutions from ``previous`` (a
+    :class:`LinkedProgram`): a module not named in ``replaced`` whose
+    imports all export the same ``(name, arity)`` table as they did in
+    ``previous`` resolves to the very module it did there."""
+    seen, dupes = set(), set()
+    for m in program.modules:
+        (dupes if m.name in seen else seen).add(m.name)
     if dupes:
         raise ValidationError("duplicate module name(s): %s" % ", ".join(sorted(dupes)))
     functors = [m.name for m in program.modules if m.is_functor]
@@ -64,9 +79,22 @@ def link_program(program):
     topo = graph.topo_order()
     symbols = SymbolTable.of_program(program)
     by_name = {m.name: m for m in program.modules}
+    old = {} if previous is None else {m.name: m for m in previous.program.modules}
+    moved = {
+        name
+        for name in replaced
+        if name not in old or _exports(old[name]) != _exports(by_name[name])
+    }
     resolved = {}
     for module_name in topo:
         module = by_name[module_name]
+        if (
+            module_name in old
+            and module_name not in replaced
+            and moved.isdisjoint(module.imports)
+        ):
+            resolved[module_name] = old[module_name]
+            continue
         imported = {}
         for dep in module.imports:
             for d in resolved[dep].defs:
@@ -111,11 +139,18 @@ def relink_with(linked, new_modules):
     """Return a new :class:`LinkedProgram` with some modules replaced or
     added.  ``new_modules`` is an iterable of :class:`Module`; modules with
     matching names are replaced, others appended (imports must stay
-    acyclic).  Used by tests and the benchmark suite."""
+    acyclic).  Every check of :func:`link_program` runs again, but a
+    module that is not replaced and whose imports export the same
+    ``(name, arity)`` tables keeps its resolved form from ``linked`` (the
+    same object).  Used by tests and the benchmark suite."""
     by_name = {m.name: m for m in linked.program.modules}
     order = list(by_name)
+    replaced = set()
     for module in new_modules:
         if module.name not in by_name:
             order.append(module.name)
         by_name[module.name] = module
-    return link_program(Program(tuple(by_name[n] for n in order)))
+        replaced.add(module.name)
+    return _link_reusing(
+        Program(tuple(by_name[n] for n in order)), linked, replaced
+    )

@@ -84,7 +84,7 @@ WELL_KNOWN_COUNTERS = frozenset(
         "incr.modules_skipped",
         # BuildResult.link (docs/pipeline.md): modules whose memoised
         # namespace was reused as it was, and modules the link executed
-        # (new or changed source, or a function they import moved).
+        # (new or changed genext source).
         "link.modules_reused",
         "link.modules_executed",
         # Execution-ladder artifacts whose marshalled code object could

@@ -42,6 +42,7 @@ exactly the failed cone.  See ``docs/robustness.md``.
 import hashlib
 import marshal
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -49,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bt.analysis import analyse_module
 from repro.bt.interface import (
     INTERFACE_SUFFIX,
+    Interface,
     InterfaceError,
     InterfaceStore,
     atomic_write_text,
@@ -75,6 +77,7 @@ from repro.pipeline.cache import (  # re-exported; the canonical home
     CODE_KIND,
     GENEXT_KIND,
     IFACE_KIND,
+    read_text,
 )
 from repro.pipeline.faults import (
     KIND_ERROR,
@@ -95,9 +98,11 @@ DEFAULT_CACHE_DIRNAME = ".mspec-cache"
 # memoises per process, keyed by the text's SHA-256, in a bounded LRU;
 # the AST is frozen, so sharing a parsed Program across builds is safe.
 # Parse errors are not memoised, and the structural checks run on every
-# scan, hit or miss.  The capacity covers a 10^3-module graph plus its
-# edit history: a sweep over more files than this evicts in LRU order,
-# i.e. misses.
+# parse or memo hit; a file whose path and text are those of a module
+# the last build built reuses that build's scanned source, checks and
+# all (see the dirty-cone walk below).  The capacity covers a
+# 10^3-module graph plus its edit history: a sweep over more files than
+# this evicts in LRU order, i.e. misses.
 _SCAN_MEMO = LruMemo(4096)  # sha256(text) -> Program
 
 
@@ -117,12 +122,12 @@ def _parse_source(text):
 
 
 def _read_source(path):
-    """The text of one source file.  Bytes that are not UTF-8 raise a
-    :class:`LexError` naming the file, so the scan reports them the way
-    it reports a parse error."""
+    """``(text, bytes read)`` of one source file, through the
+    stat-checked :func:`~repro.pipeline.cache.read_text`.  Bytes that are
+    not UTF-8 raise a :class:`LexError` naming the file, so the scan
+    reports them the way it reports a parse error."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        return read_text(path)
     except UnicodeDecodeError as exc:
         raise LexError(
             "%s: not UTF-8 text (%s)" % (os.path.basename(path), exc)
@@ -130,43 +135,33 @@ def _read_source(path):
 
 
 # Linking is the cheap step of the paper's pipeline (Sec. 6), so a
-# relink should execute only the modules whose code or imported
-# functions moved.  The link memo keeps one slot per module name: the
-# last genext source and imports linked under that name, their code
-# object and the executed namespace.  A later link reuses the namespace
-# only when ``_link`` would rebind it to the very objects it already
-# holds, so no namespace is ever rebound to a different function and a
-# program linked earlier keeps specialising what it did.  Keyed by name,
-# not by cache root: one copy of each module however many caches link it.
+# relink should execute only the modules whose code changed.  Generated
+# code calls imported functions through the running program's registry
+# (``st.mk``), so an executed namespace depends on nothing but its own
+# genext source and no link ever writes into it.  The link memo keeps
+# one slot per module name: the last genext source linked under that
+# name, its code object and its loaded module.  A later link reuses the
+# loaded module whenever the source matches, and a program linked
+# earlier keeps specialising what it did through its own registry.
+# Keyed by name, not by cache root: one copy of each module however
+# many caches link it.
 _LINK_MEMO = LruMemo(4096)  # module name -> _LinkSlot
 
 
 @dataclass(frozen=True)
 class _LinkSlot:
-    """The last link of one module.  ``loaded`` is ``None`` only while
-    a link is building the slot; ``published`` is the ``(cache root,
+    """The last link of one module.  ``published`` is the ``(cache root,
     key)`` its code artifact was last written under, if any."""
 
     source: str
-    imports: Tuple[str, ...]
     code: object
-    loaded: Optional[LoadedModule]
+    loaded: LoadedModule
     published: Optional[Tuple[str, str]]
 
 
 def clear_link_memo():
     """Drop every memoised linked module (test isolation)."""
     _LINK_MEMO.clear()
-
-
-def _bound_to(loaded, registry):
-    """Whether every function ``loaded`` imports is already bound to the
-    one ``registry`` gives it, i.e. ``_link`` would rebind nothing."""
-    namespace = loaded.namespace
-    for src, py in namespace.get("_IMPORTED", {}).items():
-        if src not in registry or namespace.get(py) is not registry[src]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -178,6 +173,47 @@ class SourceModule:
     text: str
     imports: Tuple[str, ...]
     module: object = field(default=None, compare=False, repr=False)
+
+
+# The dirty-cone walk.  The last successful build leaves one record per
+# module it built: the scanned source its key was derived from, the
+# key, and what the key gave (parsed interface, genext, and the report
+# line of a cache hit).  The scan reuses a record's source for a file
+# whose path and text are unchanged.  The cache stage reuses a record
+# for a module whose text and imports are unchanged and none of whose
+# imports' interfaces moved in this build: the key would come out the
+# same, so the digest merge, ``module_key_v2`` and the interface parse
+# are skipped.  The artifacts are still fetched (through the
+# stat-checked reads, so usually without a read) and must equal the
+# record's.  The schedule is reused while no import list changed.  One
+# map, the last build's, whatever its cache root; the cache stage does
+# not consult records of another root or ``force_residual``.
+_LAST_BUILD = None  # the last successful build's _LastBuild
+
+
+@dataclass(frozen=True)
+class _ModuleRecord:
+    source: SourceModule
+    key: str
+    iface: Interface
+    genext: GenextModule
+    rebuild: ModuleRebuild  # this module's line in a build that hits
+
+
+@dataclass(frozen=True)
+class _LastBuild:
+    root: str
+    force_residual: frozenset
+    records: Dict[str, _ModuleRecord]
+    schedule: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (module, imports)
+    graph: ModuleGraph
+    waves: Tuple[Tuple[str, ...], ...]
+
+
+def clear_build_records():
+    """Forget the last build's module records (test isolation)."""
+    global _LAST_BUILD
+    _LAST_BUILD = None
 
 
 def _analyse_cogen_worker(payload):
@@ -260,21 +296,20 @@ class BuildResult:
     def link(self):
         """Compile, execute, and link the generating extensions.
 
-        A module whose genext source and imports are unchanged since the
-        last link of its name reuses that link's executed namespace when
-        every function it imports is the very one this link gives it
-        (:data:`_LINK_MEMO`); the returned program may therefore share a
+        A module whose genext source is unchanged since the last link of
+        its name reuses that link's executed namespace (:data:`_LINK_MEMO`):
+        generated code reaches its imports through the running program's
+        registry, so a namespace never depends on what it imports, and
+        the returned program may share a
         :class:`~repro.genext.link.LoadedModule` with programs linked
-        earlier.  A module whose imported functions moved re-executes its
-        memoised code object.  Any other module takes its code object
-        from the build cache, or compiles it; without a cache every such
-        module is compiled afresh.  Either way the build cache holds a
-        code artifact for every module when the link returns.
+        earlier.  Any other module takes its code object from the build
+        cache, or compiles it; without a cache every such module is
+        compiled afresh.  Either way the build cache holds a code
+        artifact for every module when the link returns.
 
         Counts ``link.modules_reused`` and ``link.modules_executed`` in
         the build's metrics registry."""
         loaded = []
-        registry = {}  # the exports of the modules linked so far
         reused = 0
         tracer = self.obs.tracer if self.obs is not None else NULL_TRACER
         with _stage(self.stats, tracer, "link"):
@@ -283,18 +318,14 @@ class BuildResult:
                 if self.cache is not None:
                     target = (self.cache.root, self.keys[m.name])
                 slot = _LINK_MEMO.get(m.name)
-                if slot is None or (slot.source, slot.imports) != (
-                    m.source,
-                    m.imports,
-                ):
-                    slot = _LinkSlot(
-                        m.source, m.imports, self._code(m), None, target
-                    )
-                new = slot
-                if slot.loaded is not None and _bound_to(slot.loaded, registry):
+                if slot is not None and slot.source == m.source:
                     reused += 1
+                    new = slot
                 else:
-                    new = replace(new, loaded=load_genext(m, code=slot.code))
+                    code = self._code(m)
+                    new = _LinkSlot(
+                        m.source, code, load_genext(m, code=code), target
+                    )
                 if target is not None and new.published != target:
                     self.cache.put_bytes(
                         target[1], CODE_KIND, marshal.dumps(new.code)
@@ -302,8 +333,10 @@ class BuildResult:
                     new = replace(new, published=target)
                 if new is not slot:
                     _LINK_MEMO.put(m.name, new)
-                registry.update(new.loaded.exports)
-                loaded.append(new.loaded)
+                module = new.loaded
+                if module.imports != m.imports:  # an unused import moved
+                    module = replace(module, imports=m.imports)
+                loaded.append(module)
             metrics = self.stats.metrics
             metrics.counter("link.modules_reused").inc(reused)
             metrics.counter("link.modules_executed").inc(len(loaded) - reused)
@@ -376,13 +409,27 @@ class BuildEngine:
         still builds under ``keep_going``."""
         sources = {}
         failures = {}
+        last = _LAST_BUILD
+        records = last.records if last is not None else {}
+        skipped_reads = 0
+        prefix = os.path.join(self.src_dir, "")
         for entry in sorted(os.listdir(self.src_dir)):
             if not entry.endswith(SOURCE_SUFFIX):
                 continue
-            path = os.path.join(self.src_dir, entry)
+            path = prefix + entry
             expected = entry[: -len(SOURCE_SUFFIX)]
             try:
-                text = _read_source(path)
+                text, nbytes = _read_source(path)
+                skipped_reads += not nbytes
+                record = records.get(expected)
+                if (
+                    record is not None
+                    and record.source.path == path
+                    and record.source.text == text
+                ):
+                    # Passed every check below in the last build.
+                    sources[expected] = record.source
+                    continue
                 parsed = _parse_source(text)
                 if len(parsed.modules) != 1:
                     raise ValidationError(
@@ -412,6 +459,8 @@ class BuildEngine:
                 imports=tuple(module.imports),
                 module=module,
             )
+        if skipped_reads and self.cache.metrics is not None:
+            self.cache.metrics.counter("cache.reads_skipped").inc(skipped_reads)
         return sources, failures
 
     # -- building -----------------------------------------------------------
@@ -479,28 +528,41 @@ class BuildEngine:
             return self._build(stats, obs, tracer)
 
     def _build(self, stats, obs, tracer):
+        global _LAST_BUILD
         with _stage(stats, tracer, "scan"):
             sources, failures = self.scan()  # name -> ModuleFailure
         stats.modules = len(sources) + len(failures)
         for name in sorted(failures):
             stats.note_failed(name)
+        last = _LAST_BUILD
         with _stage(stats, tracer, "schedule"):
             # Unparseable modules enter the graph as import-less nodes:
             # their name is known (from the file name), so importers
             # still land in their cone and are skipped, not crashed.
-            graph = ModuleGraph(
-                {
-                    **{s.name: s.imports for s in sources.values()},
-                    **{name: () for name in failures},
-                }
+            schedule = tuple(
+                [(s.name, s.imports) for s in sources.values()]
+                + [(name, ()) for name in failures]
             )
-            waves = graph.waves()
+            if last is not None and last.schedule == schedule:
+                graph, waves = last.graph, last.waves
+            else:
+                graph = ModuleGraph(dict(schedule))
+                waves = graph.waves()
         stats.wave_widths = tuple(len(w) for w in waves)
+        records = {}
+        if (
+            last is not None
+            and last.root == self.cache.root
+            and last.force_residual == self.force_residual
+        ):
+            records = last.records
 
         store = InterfaceStore()
         prev_refs = self.cache.read_refs()  # module -> last build's key
         changed = set()  # modules whose interface changed vs. last build
+        moved = set()  # modules whose interface differs from their record
         rebuilds = {}  # name -> ModuleRebuild
+        built = {}  # name -> _ModuleRecord, this build
 
         def prev_iface_digests(name):
             """Per-def digests of the module's previous build, if any."""
@@ -516,14 +578,19 @@ class BuildEngine:
                 return None
 
         def note_interface(name, iface):
-            """Track whether the module's interface moved this build —
-            a hit on a module with a changed dep is a module def-level
-            keying specifically saved (module-level keys would miss)."""
+            """Track whether the module's interface moved this build:
+            against the last build's refs (a hit on a module with a
+            changed dep is a module def-level keying specifically saved;
+            module-level keys would miss) and against its record (an
+            importer may reuse its own record only if none moved)."""
             prev_key = prev_refs.get(name)
             if prev_key is not None and prev_key != keys[name]:
                 prev_text = self.cache.get_text(prev_key, IFACE_KIND)
                 if prev_text is not None and prev_text != iface.text:
                     changed.add(name)
+            record = records.get(name)
+            if record is None or record.iface.text != iface.text:
+                moved.add(name)
 
         ifaces = {}  # name -> parsed Interface, this build
         genexts = {}
@@ -556,166 +623,198 @@ class BuildEngine:
             _analyse_cogen_worker, self.jobs, self.policy, stats, obs=obs
         )
 
+        def probe(name):
+            """Look ``name`` up in the cache; returns whether it hit."""
+            src = sources[name]
+            record = records.get(name)
+            reuse = (
+                record is not None
+                and record.source.text == src.text
+                and record.source.imports == src.imports
+                and moved.isdisjoint(src.imports)
+            )
+            if reuse:
+                key = record.key  # what module_key_v2 gave the same inputs
+            else:
+                # Def-level keying: the key reads only the digests of
+                # the imported defs the module references, so an
+                # upstream scheme change it never looks at cannot miss
+                # it.
+                digests = {}
+                for dep in src.imports:
+                    digests.update(ifaces[dep].digests)
+                key = module_key_v2(
+                    src.text.encode("utf-8"),
+                    src.imports,
+                    used_import_digests(src.module, digests),
+                    self.force_residual,
+                )
+            keys[name] = key
+            order.append(name)
+            iface_text_ = self.cache.get_text(key, IFACE_KIND)
+            genext_source = self.cache.get_text(key, GENEXT_KIND)
+            if (
+                reuse
+                and iface_text_ == record.iface.text
+                and genext_source == record.genext.source
+            ):
+                built[name] = record if record.source is src else replace(
+                    record, source=src
+                )
+            elif iface_text_ is not None and genext_source is not None:
+                try:
+                    iface = store.load_text(
+                        iface_text_, origin=self.cache.path(key, IFACE_KIND)
+                    )
+                except InterfaceError:
+                    return False  # corrupt entry: rebuild it
+                if iface.module != name:
+                    return False
+                built[name] = _ModuleRecord(
+                    src,
+                    key,
+                    iface,
+                    GenextModule(name, src.imports, genext_source),
+                    ModuleRebuild(
+                        module=name,
+                        action="cached",
+                        reused=tuple(src.module.def_names()),
+                    ),
+                )
+            else:
+                return False
+            hit = built[name]
+            ifaces[name] = hit.iface
+            genexts[name] = hit.genext
+            note_interface(name, hit.iface)
+            stats.note_cache_hit(name)
+            obs.bus.emit("cache.hit", module=name, key=key)
+            rebuilds[name] = hit.rebuild
+            if not changed.isdisjoint(src.imports):
+                # A dep's interface moved but the def-level key still
+                # hit: exactly the re-analysis module-level keying
+                # would have paid.
+                stats.note_cutoff_skip(name)
+            return True
+
+        def analyse_wave(misses):
+            """Analyse and cogen one wave's misses, then publish them."""
+            payloads = [
+                (
+                    name,
+                    sources[name].text,
+                    tuple((dep, ifaces[dep].text) for dep in sources[name].imports),
+                    tuple(sorted(self.force_residual)),
+                    tracer.enabled,
+                )
+                for name in misses
+            ]
+            with _stage(stats, tracer, "analyse"):
+                results, wave_failures = supervisor.run_wave(payloads)
+            for name, failure in wave_failures.items():
+                failures[name] = failure
+                stats.note_failed(name)
+                order.remove(name)
+                del keys[name]
+            with _stage(stats, tracer, "publish"):
+                for name in misses:
+                    if name not in results:
+                        continue
+                    res = results[name]
+                    iface_text_, genext_source = res[1], res[2]
+                    if len(res) > 3:
+                        tracer.add_events(res[3])
+                    data = faultinject.corrupt(
+                        "publish", name, IFACE_KIND, iface_text_.encode("utf-8")
+                    )
+                    self.cache.put_bytes(keys[name], IFACE_KIND, data)
+                    data = faultinject.corrupt(
+                        "publish", name, GENEXT_KIND,
+                        genext_source.encode("utf-8"),
+                    )
+                    self.cache.put_bytes(keys[name], GENEXT_KIND, data)
+                    # The worker's text is authoritative; the cache copy
+                    # may have been corrupted by an injected fault above.
+                    src = sources[name]
+                    iface = store.load_text(
+                        iface_text_, origin="<analysis of %s>" % name
+                    )
+                    ifaces[name] = iface
+                    genexts[name] = GenextModule(name, src.imports, genext_source)
+                    note_interface(name, iface)
+                    stats.note_analysed(name)
+                    prev_digests = prev_iface_digests(name)
+                    re_derived = tuple(src.module.def_names())
+                    cut = tuple(
+                        n
+                        for n in re_derived
+                        if prev_digests is not None
+                        and prev_digests.get(n) == iface.digests.get(n)
+                    )
+                    stats.note_defs(re_derived=len(re_derived), cut_off=len(cut))
+                    rebuilds[name] = ModuleRebuild(
+                        module=name,
+                        action="analysed",
+                        re_derived=re_derived,
+                        cut_off=cut,
+                    )
+                    built[name] = _ModuleRecord(
+                        src,
+                        keys[name],
+                        iface,
+                        genexts[name],
+                        ModuleRebuild(
+                            module=name, action="cached", reused=re_derived
+                        ),
+                    )
+
+        # The cache stage is one span and one timer sample per build; a
+        # wave gets its own span only when it analyses something.
+        cache_seconds = 0.0
         try:
-            for wave_index, wave in enumerate(waves):
-                misses = []
-                with tracer.span(
-                    "wave[%d]" % wave_index, cat="build", width=len(wave)
-                ):
-                    with _stage(stats, tracer, "cache"):
-                        for name in wave:
-                            if name in failures:  # failed at scan: no source
-                                continue
-                            src = sources[name]
-                            root = failed_root(name)
-                            if root is not None:
-                                skipped[name] = root
-                                stats.note_skipped(name)
-                                continue
-                            # Def-level keying: the key reads only the
-                            # digests of the imported defs the module
-                            # references, so an upstream scheme change
-                            # it never looks at cannot miss it.
-                            digests = {}
-                            for dep in src.imports:
-                                digests.update(ifaces[dep].digests)
-                            key = module_key_v2(
-                                src.text.encode("utf-8"),
-                                src.imports,
-                                used_import_digests(src.module, digests),
-                                self.force_residual,
-                            )
-                            keys[name] = key
-                            order.append(name)
-                            iface_text_ = self.cache.get_text(key, IFACE_KIND)
-                            genext_source = self.cache.get_text(key, GENEXT_KIND)
-                            iface = None
-                            if iface_text_ is not None and genext_source is not None:
-                                try:
-                                    parsed = store.load_text(
-                                        iface_text_,
-                                        origin=self.cache.path(key, IFACE_KIND),
-                                    )
-                                    if parsed.module == name:
-                                        iface = parsed
-                                except InterfaceError:
-                                    iface = None  # corrupt entry: rebuild it
-                            if iface is not None:
-                                ifaces[name] = iface
-                                genexts[name] = GenextModule(
-                                    name, src.imports, genext_source
-                                )
-                                note_interface(name, iface)
-                                stats.note_cache_hit(name)
-                                obs.bus.emit("cache.hit", module=name, key=key)
-                                rebuilds[name] = ModuleRebuild(
-                                    module=name,
-                                    action="cached",
-                                    reused=tuple(src.module.def_names()),
-                                )
-                                if any(dep in changed for dep in src.imports):
-                                    # A dep's interface moved but the
-                                    # def-level key still hit: exactly
-                                    # the re-analysis module-level
-                                    # keying would have paid.
-                                    stats.note_cutoff_skip(name)
-                            else:
-                                misses.append(name)
-                                stats.note_cache_miss(name)
-                                obs.bus.emit("cache.miss", module=name, key=key)
-                    if misses:
-                        payloads = [
-                            (
-                                name,
-                                sources[name].text,
-                                tuple(
-                                    (dep, ifaces[dep].text)
-                                    for dep in sources[name].imports
-                                ),
-                                tuple(sorted(self.force_residual)),
-                                tracer.enabled,
-                            )
-                            for name in misses
-                        ]
-                        with _stage(stats, tracer, "analyse"):
-                            results, wave_failures = supervisor.run_wave(
-                                payloads
-                            )
-                        for name, failure in wave_failures.items():
-                            failures[name] = failure
-                            stats.note_failed(name)
-                            order.remove(name)
-                            del keys[name]
-                        with _stage(stats, tracer, "publish"):
-                            for name in misses:
-                                if name not in results:
-                                    continue
-                                res = results[name]
-                                iface_text_, genext_source = res[1], res[2]
-                                if len(res) > 3:
-                                    tracer.add_events(res[3])
-                                data = faultinject.corrupt(
-                                    "publish", name, IFACE_KIND,
-                                    iface_text_.encode("utf-8"),
-                                )
-                                self.cache.put_bytes(
-                                    keys[name], IFACE_KIND, data
-                                )
-                                data = faultinject.corrupt(
-                                    "publish", name, GENEXT_KIND,
-                                    genext_source.encode("utf-8"),
-                                )
-                                self.cache.put_bytes(
-                                    keys[name], GENEXT_KIND, data
-                                )
-                                # The worker's text is authoritative;
-                                # the cache copy may have been corrupted
-                                # by an injected fault above.
-                                iface = store.load_text(
-                                    iface_text_,
-                                    origin="<analysis of %s>" % name,
-                                )
-                                ifaces[name] = iface
-                                genexts[name] = GenextModule(
-                                    name, sources[name].imports, genext_source
-                                )
-                                note_interface(name, iface)
-                                stats.note_analysed(name)
-                                prev_digests = prev_iface_digests(name)
-                                re_derived = tuple(
-                                    sources[name].module.def_names()
-                                )
-                                cut = tuple(
-                                    n
-                                    for n in re_derived
-                                    if prev_digests is not None
-                                    and prev_digests.get(n)
-                                    == iface.digests.get(n)
-                                )
-                                stats.note_defs(
-                                    re_derived=len(re_derived),
-                                    cut_off=len(cut),
-                                )
-                                rebuilds[name] = ModuleRebuild(
-                                    module=name,
-                                    action="analysed",
-                                    re_derived=re_derived,
-                                    cut_off=cut,
-                                )
-                if failures and not self.policy.keep_going:
-                    # Fail fast — but name the whole downstream cone, so
-                    # the report reads the same as keep-going's.
-                    for name in sources:
-                        if name in genexts or name in failures or name in skipped:
+            with tracer.span("stage:cache", cat="stage"):
+                for wave_index, wave in enumerate(waves):
+                    started = time.perf_counter()
+                    misses = []
+                    for name in wave:
+                        if name in failures:  # failed at scan: no source
                             continue
                         root = failed_root(name)
                         if root is not None:
                             skipped[name] = root
                             stats.note_skipped(name)
-                    raise BuildError(
-                        self._report(failures, skipped, order, stats)
-                    )
+                            continue
+                        if not probe(name):
+                            misses.append(name)
+                            stats.note_cache_miss(name)
+                            obs.bus.emit(
+                                "cache.miss", module=name, key=keys[name]
+                            )
+                    cache_seconds += time.perf_counter() - started
+                    if misses:
+                        with tracer.span(
+                            "wave[%d]" % wave_index, cat="build", width=len(wave)
+                        ):
+                            analyse_wave(misses)
+                    if failures and not self.policy.keep_going:
+                        # Fail fast — but name the whole downstream cone,
+                        # so the report reads the same as keep-going's.
+                        for name in sources:
+                            if (
+                                name in genexts
+                                or name in failures
+                                or name in skipped
+                            ):
+                                continue
+                            root = failed_root(name)
+                            if root is not None:
+                                skipped[name] = root
+                                stats.note_skipped(name)
+                        raise BuildError(
+                            self._report(failures, skipped, order, stats)
+                        )
         finally:
+            stats.note_stage("cache", cache_seconds)
             supervisor.shutdown()
 
         with _stage(stats, tracer, "publish"):
@@ -731,6 +830,9 @@ class BuildEngine:
             merged.update({name: keys[name] for name in order})
             if merged != refs:
                 self.cache.write_refs(merged)
+        _LAST_BUILD = _LastBuild(
+            self.cache.root, self.force_residual, built, schedule, graph, waves
+        )
 
         for name in sorted(failures):
             rebuilds[name] = ModuleRebuild(module=name, action="failed")

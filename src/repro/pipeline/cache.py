@@ -18,12 +18,19 @@ overwrites with identical bytes.
 Integrity is checked lazily on read (a corrupt entry is a miss) and
 eagerly by ``mspec fsck`` (:func:`repro.pipeline.faults.fsck_cache`),
 which moves damaged objects into ``<root>/quarantine``.
+
+A rebuild reads the same files as the build before it, so text reads go
+through :func:`read_text`, which does not read a file again while its
+stat stamp is the one recorded when its bytes were last read.
 """
 
 import json
 import os
 import sys
 import tempfile
+import time
+
+from repro.lru import LruMemo
 
 # Compiled code objects are interpreter-specific; the kind tag carries
 # the cache tag so interpreters never read each other's bytecode.
@@ -49,6 +56,56 @@ REFS_FILENAME = "refs.json"
 TMP_PREFIX = ".tmp."
 TMP_SUFFIX = "~"
 
+# Stat-checked reads.  A file whose ``(st_ino, st_size, st_mtime_ns)``
+# still equals the stamp recorded when its bytes were last read is not
+# read again: its text is the one read then.  A stamp vouches only for
+# bytes read back from disk (a write records none), and only when the
+# file's mtime was older than the start of that read by RACY_MARGIN_NS:
+# a write landing in the same timestamp tick as the read could otherwise
+# leave the stamp unchanged (git's racy-timestamp rule, with a margin
+# that covers coarse filesystem clocks).  An atomic replace, a
+# truncation or a rewrite moves the stamp, so the next read goes to
+# disk; what no stamp can see is an in-place rewrite that keeps the size
+# and restores the old mtime.  Keyed by path; bounded, so a sweep over
+# more files than the capacity just reads them.
+RACY_MARGIN_NS = 2_000_000_000
+_STAMPED = LruMemo(4096)  # path -> (stamp, text)
+
+
+def clear_read_memo():
+    """Forget every recorded stamp (test isolation)."""
+    _STAMPED.clear()
+
+
+def _stamp(st):
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def read_text(path):
+    """The UTF-8 text of the file at ``path``, read from disk only when
+    its stamp moved since the last read (see :data:`RACY_MARGIN_NS`).
+    Returns ``(text, nbytes)``, ``nbytes`` being the bytes actually read:
+    0 when the recorded stamp vouched for the text.  Raises
+    :class:`OSError` for a missing file and :class:`UnicodeDecodeError`
+    for bytes that are not UTF-8."""
+    entry = _STAMPED.get(path)
+    if entry is not None:
+        try:
+            unchanged = _stamp(os.stat(path)) == entry[0]
+        except OSError:
+            unchanged = False
+        if unchanged:
+            return entry[1], 0
+        _STAMPED.pop(path)
+    started = time.time_ns()
+    with open(path, "rb") as f:
+        stamp = _stamp(os.fstat(f.fileno()))
+        data = f.read()
+    text = data.decode("utf-8")
+    if stamp[2] < started - RACY_MARGIN_NS:
+        _STAMPED.put(path, (stamp, text))
+    return text, len(data)
+
 
 class ArtifactCache:
     """Content-addressed artifact storage rooted at ``root``.
@@ -56,6 +113,7 @@ class ArtifactCache:
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`, set at
     construction or assigned later) makes the store count its own I/O:
     ``cache.reads`` / ``cache.read_bytes`` for successful gets,
+    ``cache.reads_skipped`` for text gets a stamp served without a read,
     ``cache.writes`` / ``cache.write_bytes`` for puts.  With no
     registry attached the accounting is a single attribute test.
     """
@@ -63,6 +121,7 @@ class ArtifactCache:
     def __init__(self, root, metrics=None):
         self.root = root
         self.metrics = metrics
+        self._objects = os.path.join(root, OBJECTS_DIRNAME, "")
 
     def _count(self, name, nbytes):
         if self.metrics is not None:
@@ -71,9 +130,7 @@ class ArtifactCache:
 
     def path(self, key, kind):
         """Where an artifact lives (the file may not exist)."""
-        return os.path.join(
-            self.root, OBJECTS_DIRNAME, key[:2], "%s.%s" % (key, kind)
-        )
+        return "%s%s%s%s.%s" % (self._objects, key[:2], os.sep, key, kind)
 
     def has(self, key, kind):
         return os.path.exists(self.path(key, kind))
@@ -91,14 +148,20 @@ class ArtifactCache:
     def get_text(self, key, kind):
         """The artifact decoded as UTF-8; ``None`` on a miss *or* on
         undecodable bytes (a corrupt entry is a miss — the caller
-        recomputes and overwrites it)."""
-        data = self.get_bytes(key, kind)
-        if data is None:
-            return None
+        recomputes and overwrites it).  Read through :func:`read_text`:
+        an artifact whose stamp still holds is not read again."""
         try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError:
+            text, nbytes = read_text(self.path(key, kind))
+        except OSError:
             return None
+        except UnicodeDecodeError as exc:
+            self._count("reads", len(exc.object))
+            return None
+        if nbytes:
+            self._count("reads", nbytes)
+        elif self.metrics is not None:
+            self.metrics.counter("cache.reads_skipped").inc()
+        return text
 
     def put_bytes(self, key, kind, data):
         """Atomically publish an artifact; returns its path."""

@@ -22,6 +22,7 @@ Metric names (see ``docs/observability.md`` for the full glossary):
 ========================  ======  =======================================
 ``cache.hits``            counter modules served from the artifact cache
 ``cache.misses``          counter modules scheduled for analyse+cogen
+``cache.reads_skipped``   counter file reads a matching stat stamp saved
 ``modules.analysed``      counter modules analysed+cogen'd this build
 ``modules.failed``        counter modules whose job exhausted retries
 ``modules.skipped``       counter modules inside a failed cone
@@ -120,6 +121,11 @@ class PipelineStats:
         repeated stages — one analyse burst per wave — sum up)."""
         with self.metrics.timer(_STAGE_PREFIX + name).time():
             yield
+
+    def note_stage(self, name, seconds):
+        """Add ``seconds`` to stage ``name`` as one sample (a stage timed
+        in pieces, such as the cache stage's per-wave probes)."""
+        self.metrics.timer(_STAGE_PREFIX + name).add(seconds)
 
     def note_cache_hit(self, name):
         self.cached.append(name)

@@ -107,7 +107,9 @@ def test_imported_functions_are_linked_not_inlined():
     )
     use = cogen_program(analysis)[1]
     assert use.name == "Use"
-    assert "'power': 'mk_power'" in use.source
+    assert "_IMPORTED = ('power',)" in use.source
+    # Late-bound through the running program's registry, never a global.
+    assert "st.mk['power'](st, " in use.source
     assert "def mk_power(" not in use.source  # not copied in
 
 

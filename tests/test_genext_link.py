@@ -38,6 +38,19 @@ def test_link_rejects_missing_dependency():
         link_genexts(without_power)
 
 
+def test_unresolved_import_fails_at_link_time():
+    """A late-bound call is still checked when the program is linked,
+    not first met while specialising."""
+    from dataclasses import replace
+
+    main = [m for m in genexts(power_twice_main_source()) if m.name == "Main"][0]
+    # Without its imports the graph check would object first.
+    alone = load_genext(replace(main, imports=()))
+    with pytest.raises(ValueError) as exc:
+        GenextProgram([alone])
+    assert str(exc.value) == "unresolved functions at link time: power, twice"
+
+
 def test_link_rejects_duplicate_functions():
     modules = genexts("module A where\n\nf x = x\n") + genexts(
         "module B where\n\nf x = x\n"

@@ -150,13 +150,15 @@ def test_interface_serialisation_is_canonical(tmp_path):
 
 
 def test_module_key_v2_is_pinned():
-    """A module hashes the same bytes it always has, so build artifacts
-    cached by earlier releases stay warm."""
+    """A module hashes the same bytes for as long as ``CACHE_EPOCH``
+    stands, so build artifacts cached by earlier releases stay warm.
+    Pinned at epoch 3: the bump from 2 came with late-bound cross-module
+    calls in the generated code, which changed every genext source."""
     key = module_key_v2(
         APP.encode("utf-8"), ("Lib",), [("power", "ab" * 32)], {"cube"}
     )
     assert key == (
-        "5b1e045c3316be1b363307d7bab7b682c6c65a78f0b4d647a321c09fc6cb6301"
+        "8b871e010dd6f197779b80e57e56a2df391282025f607f3d7ade304e83533fd6"
     )
 
 

@@ -12,6 +12,7 @@ from repro.modsys.program import (
     load_program_dir,
     relink_with,
 )
+from repro.lang.ast import Program
 from repro.lang.parser import parse_module, parse_program
 
 
@@ -123,6 +124,76 @@ def test_relink_with_adds_module():
     new_b = parse_module("module B where\nimport A\n\ng x = f x\n")
     lp2 = relink_with(lp, [new_b])
     assert lp2.topo_order == ("A", "B")
+
+
+def _chain_modules(n=60):
+    """An n-module import chain: ``m<i>_f0`` calls the module below's,
+    ``m<i>_f1`` is called by nobody."""
+    modules = []
+    for i in range(n):
+        below = "m%d_f0 (n - 1) (x + 1)" % (i - 1) if i else "x + 1"
+        modules.append(
+            parse_module(
+                "module M%d where\n%s\nm%d_f0 n x = if n == 0 then x else %s\n"
+                "m%d_f1 x = x * 2\n"
+                % (i, "import M%d\n" % (i - 1) if i else "", i, below, i)
+            )
+        )
+    return modules
+
+
+def _replaced(modules, new):
+    return Program(tuple(new if m.name == new.name else m for m in modules))
+
+
+def test_relink_with_equals_a_full_link_and_reuses_untouched_modules():
+    modules = _chain_modules()
+    lp = link_program(Program(tuple(modules)))
+    edited = parse_module(
+        "module M30 where\nimport M29\n\n"
+        "m30_f0 n x = if n == 0 then x else m29_f0 (n - 1) (x + 7)\n"
+        "m30_f1 x = x * 2\n"
+    )
+    lp2 = relink_with(lp, [edited])
+    want = link_program(_replaced(modules, edited))
+    assert lp2.program == want.program
+    assert lp2.topo_order == want.topo_order
+    assert lp2.symbols.names() == want.symbols.names()
+    assert lp2.module("M30") != lp.module("M30")
+    assert [m.name for m in lp2.program.modules if m is not lp.module(m.name)] == [
+        "M30"
+    ]
+
+
+def test_relink_with_re_resolves_an_importer_whose_import_changed_arity():
+    modules = _chain_modules()
+    lp = link_program(Program(tuple(modules)))
+    edited = parse_module(
+        "module M30 where\nimport M29\n\n"
+        "m30_f0 n x = if n == 0 then x else m29_f0 (n - 1) (x + 1)\n"
+        "m30_f1 x y = x * y\n"
+    )
+    lp2 = relink_with(lp, [edited])
+    assert lp2.program == link_program(_replaced(modules, edited)).program
+    fresh = [m.name for m in lp2.program.modules if m is not lp.module(m.name)]
+    assert fresh == ["M30", "M31"]  # M32 reads only M31's unchanged table
+
+
+def test_relink_with_still_rejects_a_bad_call():
+    modules = _chain_modules()
+    lp = link_program(Program(tuple(modules)))
+    for bad in (
+        # M31's call of m30_f0 is no longer saturated.
+        "module M30 where\nimport M29\n\nm30_f0 n x y = x\nm30_f1 x = x\n",
+        # A call of a function nobody defines.
+        "module M30 where\nimport M29\n\nm30_f0 n x = nowhere x\nm30_f1 x = x\n",
+    ):
+        edited = parse_module(bad)
+        with pytest.raises(ValidationError) as want:
+            link_program(_replaced(modules, edited))
+        with pytest.raises(ValidationError) as got:
+            relink_with(lp, [edited])
+        assert str(got.value) == str(want.value)
 
 
 def test_cyclic_program_rejected_at_link():

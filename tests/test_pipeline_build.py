@@ -114,6 +114,55 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path):
     assert cache.get_text(key, IFACE_KIND) == good
 
 
+def _age(root, seconds=60):
+    """Move every file's mtime under ``root`` back by ``seconds``, past
+    the stat-checked reads' racy margin."""
+    back = seconds * 10**9
+    for dirpath, _, files in os.walk(str(root)):
+        for f in files:
+            path = os.path.join(dirpath, f)
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns - back, st.st_mtime_ns - back))
+
+
+def test_rebuild_of_files_older_than_the_margin_reads_nothing(tmp_path):
+    sources = _layered(tmp_path)
+    options = BuildOptions(cache_dir=str(tmp_path / "cache"))
+    build_dir(str(tmp_path), options)
+    _age(tmp_path)
+    build_dir(str(tmp_path), options)  # reads and records every stamp
+    warm = build_dir(str(tmp_path), options)
+    counters = warm.stats.metrics.snapshot()["counters"]
+    assert warm.cached == sorted(sources)
+    assert counters.get("cache.reads", 0) == 0
+    assert counters.get("cache.read_bytes", 0) == 0
+    # Every source and both artifacts of every module: no byte read.
+    assert counters["cache.reads_skipped"] == 3 * len(sources)
+
+
+def test_racy_in_place_rewrite_is_read_again(tmp_path):
+    """A source rewritten inside the margin, at the same size and with
+    its mtime put back, keeps its stamp; the stamp was recorded too close
+    to its mtime to vouch for anything, so the file is read again."""
+    sources = _layered(tmp_path)
+    options = BuildOptions(cache_dir=str(tmp_path / "cache"))
+    first = build_dir(str(tmp_path), options)
+    path = os.path.join(str(tmp_path), "M1.mod")
+    before = os.stat(path)
+    edited = sources["M1"].replace("(x * 2)", "(x * 3)")
+    assert edited != sources["M1"] and len(edited) == len(sources["M1"])
+    with open(path, "r+") as f:
+        f.write(edited)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns,
+    )
+    second = build_dir(str(tmp_path), options)
+    assert second.analysed == ["M1"]
+    assert second.keys["M1"] != first.keys["M1"]
+
+
 def test_published_artifacts_and_no_temp_droppings(tmp_path, capsys):
     from repro.cli import main
 
