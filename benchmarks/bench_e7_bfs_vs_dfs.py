@@ -93,7 +93,7 @@ def test_bfs_vs_dfs_space(benchmark, table):
 
 def test_bfs_speed_on_chain(benchmark):
     gp = repro.compile_genexts(chain_program(200))
-    benchmark(specialise, gp, "c0", {}, strategy="bfs")
+    benchmark(specialise, gp, "c0", {}, SpecOptions(strategy="bfs"))
 
 
 def test_dfs_speed_on_chain(benchmark):
@@ -101,6 +101,6 @@ def test_dfs_speed_on_chain(benchmark):
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(100_000)
     try:
-        benchmark(specialise, gp, "c0", {}, strategy="dfs")
+        benchmark(specialise, gp, "c0", {}, SpecOptions(strategy="dfs"))
     finally:
         sys.setrecursionlimit(old)

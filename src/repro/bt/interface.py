@@ -41,7 +41,7 @@ FORMAT_VERSION = 2
 # Bumping this invalidates every cached artifact (interfaces, genext
 # sources, code objects) — do so whenever the analysis or the cogen
 # changes what it produces for the same input.
-CACHE_EPOCH = 3
+CACHE_EPOCH = 4
 
 
 class InterfaceError(Exception):

@@ -8,7 +8,8 @@ This is the paper's core contribution (Secs. 2, 4.2, 6):
   Runs once per module, independently of all other modules.
 * :mod:`repro.genext.runtime` — the runtime library linked with every
   generating extension: partially static values, ``mk_resid`` with its
-  pending/done discipline, ``mk_if``/``mk_prim``/``mk_app``, binding-time
+  pending/done discipline, ``mk_if``/``mk_app`` and one generating
+  primitive per operator (``mk_add``, ``mk_eq``, ...), binding-time
   coercions, static closures carrying body generators, residual-module
   placement, and statistics.
 * :mod:`repro.genext.link` — compiles and links generating-extension

@@ -10,7 +10,12 @@ function ``f`` it emits:
 * ``mk_f_body`` — builds specialised versions of ``f``'s body, with one
   ``rt.mk_*`` call per operation carrying the operation's binding time
   (a lub over the function's binding-time parameters, computed at
-  specialisation time);
+  specialisation time).  A primitive calls its operator's own generating
+  primitive (``rt.mk_eq(st, t, n, ...)``: no operator string to
+  dispatch on); a literal coerced to a base type is built at its target
+  binding time (``rt.lit_at(t, 1)``), and any other base coercion names
+  its binding time and type with no skeleton
+  (``rt.coerce_base(st, x, t, 'Nat')``);
 * one hoisted helper per lambda (the closure's body generator);
 * metadata: executable signatures for goal setup, per-function
   :class:`~repro.genext.runtime.FnInfo` for residual-module placement,
@@ -46,6 +51,7 @@ from repro.anno.ast import (
     acalled_functions,
 )
 from repro.bt.bttypes import BTTBase, BTTFun, BTTList, BTTPair, BTTSkel
+from repro.genext.runtime import PRIMITIVES
 
 HEADER = '''\
 """Generating extension of module %(name)s.
@@ -168,11 +174,9 @@ class _DefCompiler:
         if isinstance(e, AVar):
             return self.pyvar(e.name)
         if isinstance(e, APrim):
-            return "rt.mk_prim(st, %r, %s, %s)" % (
-                e.op,
-                self.bt_src(e.bt),
-                _tuple_src(self.expr_src(a) for a in e.args),
-            )
+            parts = ["st", self.bt_src(e.bt)]
+            parts += [self.expr_src(a) for a in e.args]
+            return "rt.%s(%s)" % (PRIMITIVES[e.op].__name__, ", ".join(parts))
         if isinstance(e, AIf):
             return "rt.mk_if(st, %s, %s, lambda: %s, lambda: %s)" % (
                 self.bt_src(e.bt),
@@ -198,11 +202,26 @@ class _DefCompiler:
                 self.expr_src(e.arg),
             )
         if isinstance(e, ACoerce):
-            return "rt.coerce(st, %s, %s)" % (
-                self.expr_src(e.expr),
-                self.type_src(e.dst),
-            )
+            return self._coerce_src(e)
         raise TypeError("not an annotated expression: %r" % (e,))
+
+    def _coerce_src(self, e):
+        """A coercion.  A base-type target is emitted at its binding
+        time with no type skeleton: a literal as ``rt.lit_at``, any other
+        operand through ``rt.coerce_base``."""
+        if isinstance(e.dst, BTTBase):
+            bt = self.bt_src(e.dst.bt)
+            if isinstance(e.expr, ALit) and e.expr.value != ():
+                return "rt.lit_at(%s, %r)" % (bt, e.expr.value)
+            return "rt.coerce_base(st, %s, %s, %r)" % (
+                self.expr_src(e.expr),
+                bt,
+                e.dst.name,
+            )
+        return "rt.coerce(st, %s, %s)" % (
+            self.expr_src(e.expr),
+            self.type_src(e.dst),
+        )
 
     def _lam_src(self, e):
         helper = "_" + mangle(e.label.replace(".", "_"))

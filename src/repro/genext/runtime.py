@@ -20,6 +20,21 @@ Specialisation-time values (:class:`PE`) mirror the binding-time types:
   its body (for residual-module placement, Sec. 5);
 * :class:`DCode` — a dynamic value: residual object-language code.
 
+Generating primitives
+---------------------
+
+Generated code does static work directly, without interpreting it:
+
+* one generating primitive per operator (``mk_add(st, bt, x, y)``,
+  ``mk_eq``, ``mk_tail``, ... — :data:`PRIMITIVES`): at a static
+  binding time it is the Python operation behind exact-type guards, at
+  a dynamic one it builds the residual ``Prim``.  :func:`mk_prim` keeps
+  the operator as data for the interpretive specialisers and looks it
+  up in the same table;
+* a literal coerced to a base type is built at its binding time
+  (:func:`lit_at`), and any other base coercion needs no type skeleton
+  (:func:`coerce_base`).
+
 ``mk_resid``
 ------------
 
@@ -32,18 +47,21 @@ specialisation in a residual module (before the body exists, from the
 free function names of the call), and schedules the body for
 construction — on the pending list (breadth-first, the paper's choice)
 or immediately (depth-first, kept for the space-consumption comparison).
+The identification of an argument with no dynamic leaf and no closure
+(a static table, say) is the plain value it denotes, taken whole.
 """
 
 import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.bt.bt import BT, D, S, bt_lub
 from repro.lang.ast import App, Call, If, Lam, Lit, Prim, Var, count_nodes
 from repro.lang.names import NameSupply
-from repro.lang.prims import PrimError, apply_prim, is_pair
+from repro.lang.prims import PrimError, apply_prim, is_pair, make_pair
 from repro.obs.trace import NULL_TRACER
 
 # ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
@@ -65,6 +83,7 @@ __all__ = [
     "D",
     "DCode",
     "PE",
+    "PRIMITIVES",
     "S",
     "SBase",
     "SClo",
@@ -81,10 +100,12 @@ __all__ = [
     "TSkel",
     "code_of",
     "coerce",
+    "coerce_base",
     "deep_recursion",
     "dynamize",
     "from_python",
     "lit",
+    "lit_at",
     "lub",
     "mk_app",
     "mk_if",
@@ -246,8 +267,21 @@ def lit(value):
     return SBase(value)
 
 
+def lit_at(bt, value):
+    """A literal coerced to a base type at binding time ``bt``: what
+    ``coerce(st, lit(value), TBase(name, bt))`` returns, with neither
+    the static box nor the type skeleton allocated on the way."""
+    return DCode(Lit(value)) if bt.dyn else SBase(value)
+
+
 def nil():
     return SList(())
+
+
+# Static truth values are two shared boxes, so a comparison allocates
+# nothing and ``mk_if`` recognises its test by identity.
+_TRUE = SBase(True)
+_FALSE = SBase(False)
 
 
 def from_python(value):
@@ -322,14 +356,7 @@ def coerce(st, pe, dst):
     if isinstance(dst, TSkel):
         return dynamize(st, pe) if dst.bt.dyn else pe
     if isinstance(dst, TBase):
-        if dst.bt.dyn:
-            return dynamize(st, pe)
-        if not isinstance(pe, SBase):
-            raise SpecError(
-                "value %r does not fit binding-time type %s"
-                % (pe, dst.name)
-            )
-        return pe
+        return coerce_base(st, pe, dst.bt, dst.name)
     if isinstance(dst, TList):
         if dst.bt.dyn:
             return dynamize(st, pe)
@@ -357,6 +384,21 @@ def coerce(st, pe, dst):
     raise SpecError("bad coercion target %r" % (dst,))
 
 
+def coerce_base(st, pe, bt, name):
+    """Coerce ``pe`` to the base type ``name`` at binding time ``bt``.
+
+    Generated code calls this directly for every base-type target, so a
+    coercion allocates no :class:`TBase`; :func:`coerce` delegates its
+    ``TBase`` case here."""
+    if bt.dyn:
+        return dynamize(st, pe)
+    if type(pe) is not SBase:
+        raise SpecError(
+            "value %r does not fit binding-time type %s" % (pe, name)
+        )
+    return pe
+
+
 # ---------------------------------------------------------------------------
 # Argument splitting for mk_resid.
 # ---------------------------------------------------------------------------
@@ -374,26 +416,54 @@ class _Split:
     rebuild: Callable
 
 
-# Memo-key helpers for ``_split``.  Static leaves use the (frozen,
-# hashable) PE itself as its own key — type-discriminated equality for
-# free, no per-call tuple allocation; the all-dynamic leaf shares one
-# key object, as do the empty dyn/hint tuples.
+# Memo-key helpers for ``_split``.  A ground value (no dynamic leaf, no
+# closure) is memoised whole: its key is the plain value it denotes (what
+# :func:`to_python` returns), so hashing the key runs in C with no call
+# per element, and the body builder receives the value unchanged.  The
+# all-dynamic leaf shares one key object, as do the empty dyn/hint
+# tuples.  Keys of the two kinds cannot meet: a partially static key is
+# a tuple whose first item is a one-letter tag.
 _DYN_KEY = ("d",)
 _EMPTY = ()
+_SBASE_ONLY = frozenset((SBase,))
+_VALUE = attrgetter("value")
+_ONLY_LEAF = itemgetter(0)
+
+
+def _ground_value(pe):
+    """The plain value of ``pe`` when it holds no dynamic leaf and no
+    closure, else ``None``."""
+    t = type(pe)
+    if t is SBase:
+        return pe.value
+    if t is SList:
+        items = pe.items
+        # A flat list of base values (a static table) is read at C speed.
+        if _SBASE_ONLY.issuperset(map(type, items)):
+            return tuple(map(_VALUE, items))
+        values = tuple(map(_ground_value, items))
+        return None if None in values else values
+    if t is SPair:
+        a = _ground_value(pe.fst)
+        b = _ground_value(pe.snd)
+        return None if a is None or b is None else make_pair(a, b)
+    return None
 
 
 def _split(pe, hint):
-    if isinstance(pe, SBase):
-        return _Split(pe, _EMPTY, _EMPTY, lambda leaves: pe)
-    if isinstance(pe, DCode):
-        return _Split(_DYN_KEY, (pe.code,), (hint,), lambda leaves: leaves[0])
-    if isinstance(pe, SList):
+    t = type(pe)
+    if t is DCode:
+        return _Split(_DYN_KEY, (pe.code,), (hint,), _ONLY_LEAF)
+    key = _ground_value(pe)
+    if key is not None:
+        return _Split(key, _EMPTY, _EMPTY, lambda leaves: pe)
+    if t is SList:
         parts = [_split(item, hint) for item in pe.items]
         return _combine("l", parts, lambda rebuilt: SList(tuple(rebuilt)))
-    if isinstance(pe, SPair):
+    if t is SPair:
         parts = [_split(pe.fst, hint), _split(pe.snd, hint)]
         return _combine("p", parts, lambda rebuilt: SPair(rebuilt[0], rebuilt[1]))
-    if isinstance(pe, SClo):
+    if t is SClo:
         parts = [_split(v, name) for name, v in pe.env]
         names = tuple(name for name, _ in pe.env)
 
@@ -431,15 +501,19 @@ def _combine(tag, parts, assemble):
 
 
 def _closure_fvs(pe, out):
-    """Collect free function names of all closures inside ``pe``."""
-    if isinstance(pe, SClo):
+    """Collect free function names of all closures inside ``pe`` (a
+    flat list of base values holds none and is skipped whole)."""
+    t = type(pe)
+    if t is SClo:
         out.update(pe.fvs)
         for _, v in pe.env:
             _closure_fvs(v, out)
-    elif isinstance(pe, SList):
-        for v in pe.items:
-            _closure_fvs(v, out)
-    elif isinstance(pe, SPair):
+    elif t is SList:
+        items = pe.items
+        if not _SBASE_ONLY.issuperset(map(type, items)):
+            for v in items:
+                _closure_fvs(v, out)
+    elif t is SPair:
         _closure_fvs(pe.fst, out)
         _closure_fvs(pe.snd, out)
 
@@ -736,68 +810,239 @@ def _param_hints(st, fname, nargs):
 def mk_if(st, bt, cond, then_thunk, else_thunk):
     """Generating version of the conditional."""
     if not bt.dyn:
-        test = cond
-        if not isinstance(test, SBase) or not isinstance(test.value, bool):
-            raise SpecError("static conditional on non-boolean %r" % (test,))
-        return then_thunk() if test.value else else_thunk()
+        if cond is _TRUE:
+            return then_thunk()
+        if cond is _FALSE:
+            return else_thunk()
+        if type(cond) is not SBase or type(cond.value) is not bool:
+            raise SpecError("static conditional on non-boolean %r" % (cond,))
+        return then_thunk() if cond.value else else_thunk()
     return DCode(
         If(code_of(cond), code_of(then_thunk()), code_of(else_thunk()))
     )
 
 
-def mk_prim(st, op, bt, args):
-    """Generating version of a primitive operation."""
+# -- the primitives: one generating primitive per operator -----------------
+#
+# Cogen emits ``rt.mk_add(st, bt, x, y)`` and so on: operands positional,
+# no operator string.  A dynamic binding time builds the residual
+# ``Prim``.  A static one runs the Python operation itself, behind
+# exact-type guards (``type(a) is int`` excludes ``bool`` exactly as
+# :func:`repro.lang.prims._nat` does); any operand the guards do not take
+# goes to :func:`_static_slow`.
+
+
+def mk_add(st, bt, x, y):
     if bt.dyn:
-        return DCode(Prim(op, tuple(code_of(a) for a in args)))
-    return _static_prim(op, args)
+        return DCode(Prim("+", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return SBase(a + b)
+    return _static_slow("+", (x, y))
 
 
-def _static_prim(op, args):
-    if op == "cons":
-        head, tail = args
-        if not isinstance(tail, SList):
-            raise SpecError("static 'cons' onto non-static list")
-        return SList((head,) + tail.items)
-    if op == "head":
-        (xs,) = args
-        if not isinstance(xs, SList):
-            raise SpecError("static 'head' of non-static list")
-        if not xs.items:
-            raise SpecError("head of empty list during specialisation")
+def mk_sub(st, bt, x, y):
+    """Monus: subtraction cut off at zero."""
+    if bt.dyn:
+        return DCode(Prim("-", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return SBase(a - b if a > b else 0)
+    return _static_slow("-", (x, y))
+
+
+def mk_mul(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("*", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return SBase(a * b)
+    return _static_slow("*", (x, y))
+
+
+def mk_div(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("div", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int and b:
+            return SBase(a // b)
+    return _static_slow("div", (x, y))
+
+
+def mk_mod(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("mod", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int and b:
+            return SBase(a % b)
+    return _static_slow("mod", (x, y))
+
+
+def mk_eq(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("==", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return _TRUE if a == b else _FALSE
+    return _static_slow("==", (x, y))
+
+
+def mk_lt(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("<", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return _TRUE if a < b else _FALSE
+    return _static_slow("<", (x, y))
+
+
+def mk_le(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("<=", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is int and type(b) is int:
+            return _TRUE if a <= b else _FALSE
+    return _static_slow("<=", (x, y))
+
+
+def mk_and(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("and", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is bool and type(b) is bool:
+            return _TRUE if a and b else _FALSE
+    return _static_slow("and", (x, y))
+
+
+def mk_or(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("or", (code_of(x), code_of(y))))
+    if type(x) is SBase and type(y) is SBase:
+        a, b = x.value, y.value
+        if type(a) is bool and type(b) is bool:
+            return _TRUE if a or b else _FALSE
+    return _static_slow("or", (x, y))
+
+
+def mk_not(st, bt, x):
+    if bt.dyn:
+        return DCode(Prim("not", (code_of(x),)))
+    if type(x) is SBase and type(x.value) is bool:
+        return _FALSE if x.value else _TRUE
+    return _static_slow("not", (x,))
+
+
+def mk_cons(st, bt, x, xs):
+    if bt.dyn:
+        return DCode(Prim("cons", (code_of(x), code_of(xs))))
+    if type(xs) is SList:
+        return SList((x,) + xs.items)
+    return _static_slow("cons", (x, xs))
+
+
+def mk_head(st, bt, xs):
+    if bt.dyn:
+        return DCode(Prim("head", (code_of(xs),)))
+    if type(xs) is SList and xs.items:
         return xs.items[0]
-    if op == "tail":
-        (xs,) = args
-        if not isinstance(xs, SList):
-            raise SpecError("static 'tail' of non-static list")
-        if not xs.items:
-            raise SpecError("tail of empty list during specialisation")
+    return _static_slow("head", (xs,))
+
+
+def mk_tail(st, bt, xs):
+    if bt.dyn:
+        return DCode(Prim("tail", (code_of(xs),)))
+    if type(xs) is SList and xs.items:
         return SList(xs.items[1:])
-    if op == "null":
-        (xs,) = args
-        if not isinstance(xs, SList):
-            raise SpecError("static 'null' of non-static list")
-        return SBase(xs.items == ())
-    if op == "pair":
-        return SPair(args[0], args[1])
-    if op == "fst":
-        (p,) = args
-        if not isinstance(p, SPair):
-            raise SpecError("static 'fst' of non-static pair")
+    return _static_slow("tail", (xs,))
+
+
+def mk_null(st, bt, xs):
+    if bt.dyn:
+        return DCode(Prim("null", (code_of(xs),)))
+    if type(xs) is SList:
+        return _TRUE if xs.items == () else _FALSE
+    return _static_slow("null", (xs,))
+
+
+def mk_pair(st, bt, x, y):
+    if bt.dyn:
+        return DCode(Prim("pair", (code_of(x), code_of(y))))
+    return SPair(x, y)
+
+
+def mk_fst(st, bt, p):
+    if bt.dyn:
+        return DCode(Prim("fst", (code_of(p),)))
+    if type(p) is SPair:
         return p.fst
-    if op == "snd":
-        (p,) = args
-        if not isinstance(p, SPair):
-            raise SpecError("static 'snd' of non-static pair")
+    return _static_slow("fst", (p,))
+
+
+def mk_snd(st, bt, p):
+    if bt.dyn:
+        return DCode(Prim("snd", (code_of(p),)))
+    if type(p) is SPair:
         return p.snd
+    return _static_slow("snd", (p,))
+
+
+# The generating primitive of each operator of repro.lang.prims.PRIMS.
+PRIMITIVES = {
+    "or": mk_or, "and": mk_and, "not": mk_not,
+    "==": mk_eq, "<": mk_lt, "<=": mk_le,
+    "+": mk_add, "-": mk_sub, "*": mk_mul, "div": mk_div, "mod": mk_mod,
+    "cons": mk_cons, "head": mk_head, "tail": mk_tail, "null": mk_null,
+    "pair": mk_pair, "fst": mk_fst, "snd": mk_snd,
+}
+
+# For the structural primitives: the operand that must be a static
+# container, its type, and the error when it is not.
+_CONTAINER = {
+    "cons": (1, SList, "static 'cons' onto non-static list"),
+    "head": (0, SList, "static 'head' of non-static list"),
+    "tail": (0, SList, "static 'tail' of non-static list"),
+    "null": (0, SList, "static 'null' of non-static list"),
+    "fst": (0, SPair, "static 'fst' of non-static pair"),
+    "snd": (0, SPair, "static 'snd' of non-static pair"),
+}
+
+
+def _static_slow(op, args):
+    """The static case of ``op`` that its primitive's guards did not
+    take: an operand outside the operator's domain.  Base operators are
+    evaluated by :func:`~repro.lang.prims.apply_prim`, the interpreter's
+    own, so a domain error reads the same at both stages."""
+    container = _CONTAINER.get(op)
+    if container is not None:
+        i, cls, message = container
+        if type(args[i]) is not cls:
+            raise SpecError(message)
+        raise SpecError("%s of empty list during specialisation" % op)
     values = []
     for a in args:
-        if not isinstance(a, SBase):
+        if type(a) is not SBase:
             raise SpecError("static %r applied to non-static operand" % op)
         values.append(a.value)
     try:
         return SBase(apply_prim(op, values))
     except PrimError as e:
         raise SpecError("primitive failed during specialisation: %s" % e)
+
+
+def mk_prim(st, op, bt, args):
+    """Generating version of a primitive named by data (``mix`` and
+    ``online`` hold the operator as a string): a lookup in
+    :data:`PRIMITIVES`, so each operator has one implementation."""
+    return PRIMITIVES[op](st, bt, *args)
 
 
 def mk_app(st, bt, fun, arg):

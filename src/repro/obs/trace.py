@@ -8,12 +8,19 @@ the Chrome way — containment of ``[ts, ts+dur]`` within one
 ``pid``/``tid`` lane — and additionally recorded as an explicit
 ``args.parent`` so tools (and tests) need not reconstruct it.
 
+One clock per process: timestamps are wall-clock anchored, a
+``time.time()`` epoch taken once per process and refined by
+``perf_counter`` deltas, and every :class:`Tracer` of the process reads
+that same epoch.  So spans recorded by two tracers of one process nest
+exactly, with no skew of a few microseconds either way.
+
 Cross-process collection: a pool worker builds its own short-lived
-:class:`Tracer`, and its event dicts travel back over the pickle channel
-in the job result; the parent merges them with :meth:`Tracer.add_events`.
-Timestamps are wall-clock anchored (``time.time()`` epoch refined by
-``perf_counter`` deltas), so worker spans land at the right place on the
-parent's timeline without any clock handshake.
+:class:`Tracer` on its parent's epoch (:attr:`Tracer.epoch`, carried in
+the job payload), and its event dicts travel back over the pickle
+channel in the job result; the parent merges them with
+:meth:`Tracer.add_events`.  ``perf_counter`` reads a monotonic clock
+shared by the machine's processes, so a worker records on the parent's
+clock however it was started.
 
 The disabled path matters more than the enabled one: ``NULL_TRACER`` is
 a process-wide singleton whose :meth:`~NullTracer.span` returns one
@@ -77,6 +84,11 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
+# The process's clock: ``(time.time(), perf_counter())`` read together
+# once.  A forked worker inherits it; a spawned one is handed its
+# parent's through ``Tracer(epoch=...)``.
+_PROCESS_EPOCH = (time.time(), time.perf_counter())
+
 
 class _Span:
     """One live span; records itself on exit."""
@@ -135,16 +147,18 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, bus=None):
+    def __init__(self, bus=None, epoch=None):
+        """``epoch`` is another tracer's :attr:`epoch` to record on (a
+        pool worker gets its parent's); by default the process's."""
         self.bus = bus
         self.events = []
         self.pid = os.getpid()
         self._lock = threading.Lock()
         self._tls = threading.local()
-        # Wall-anchored monotonic clock: epoch from time.time() once,
-        # deltas from perf_counter (sub-microsecond, never steps back).
-        self._epoch_wall = time.time()
-        self._epoch_perf = time.perf_counter()
+        # Wall-anchored monotonic clock: the epoch's time.time() plus
+        # perf_counter deltas (sub-microsecond, never steps back).
+        self.epoch = _PROCESS_EPOCH if epoch is None else tuple(epoch)
+        self._epoch_wall, self._epoch_perf = self.epoch
 
     def _now_us(self):
         return (

@@ -220,21 +220,23 @@ def _analyse_cogen_worker(payload):
     """Analyse and cogen one module; pure function of its inputs.
 
     ``payload`` is ``(name, source_text, ((dep, dep_interface_text), ...),
-    force_residual_tuple[, trace])`` — text in, text out, so the job
-    crosses process boundaries carrying nothing but what the paper says
-    a separate analysis may see.  The source goes through the scan memo,
-    so in-process (``jobs=1``) the parse the scan already paid is
+    force_residual_tuple[, trace_epoch])`` — text in, text out, so the
+    job crosses process boundaries carrying nothing but what the paper
+    says a separate analysis may see.  The source goes through the scan
+    memo, so in-process (``jobs=1``) the parse the scan already paid is
     reused.  Returns ``(name, interface_text, genext_source)``, extended
-    with the job's span events (plain dicts) when ``trace`` is set: the
-    worker records its own ``job`` / ``analyse`` / ``cogen`` spans on a
-    short-lived local tracer, and the parent merges them into the build
-    trace — one timeline across processes.  Works identically in-process
-    (``jobs=1``), so traces are span-for-span comparable between serial
-    and parallel builds.
+    with the job's span events (plain dicts) when ``trace_epoch`` is
+    given: the worker records its own ``job`` / ``analyse`` / ``cogen``
+    spans on a short-lived local tracer running on the parent tracer's
+    epoch, and the parent merges them into the build trace — one
+    timeline, one clock, across processes.  Works identically
+    in-process (``jobs=1``), so traces are span-for-span comparable
+    between serial and parallel builds.
     """
     name, text, deps, force_residual = payload[:4]
-    trace = payload[4] if len(payload) > 4 else False
-    tracer = Tracer() if trace else NULL_TRACER
+    trace_epoch = payload[4] if len(payload) > 4 else None
+    trace = trace_epoch is not None
+    tracer = Tracer(epoch=trace_epoch) if trace else NULL_TRACER
     store = InterfaceStore()
     with tracer.span("job:%s" % name, cat="job", module=name):
         faultinject.fire("analyse", name)
@@ -705,7 +707,7 @@ class BuildEngine:
                     sources[name].text,
                     tuple((dep, ifaces[dep].text) for dep in sources[name].imports),
                     tuple(sorted(self.force_residual)),
-                    tracer.enabled,
+                    tracer.epoch if tracer.enabled else None,
                 )
                 for name in misses
             ]

@@ -46,19 +46,24 @@ def test_unfold_thunk_and_body_builder(power_genext):
 def test_operations_carry_binding_times(power_genext):
     src = power_genext.source
     assert "rt.mk_if(st, t," in src
-    assert "rt.mk_prim(st, '==', t," in src
-    assert "rt.mk_prim(st, '*', rt.lub(t, u)," in src
-    assert "rt.mk_prim(st, '-', t," in src
+    # One generating primitive per operator, binding time first.
+    assert "rt.mk_eq(st, t, n," in src
+    assert "rt.mk_mul(st, rt.lub(t, u)," in src
+    assert "rt.mk_sub(st, t, n," in src
+    assert "rt.mk_prim(" not in src
 
 
 def test_coercions_present(power_genext):
     src = power_genext.source
-    assert "rt.coerce(st, rt.lit(1), rt.TBase('Nat', t))" in src
-    assert "rt.coerce(st, x, rt.TBase('Nat', rt.lub(t, u)))" in src
+    # Base-type coercions carry their target binding time, not a type
+    # skeleton: a literal is emitted at that binding time directly.
+    assert "rt.lit_at(t, 1)" in src
+    assert "rt.coerce_base(st, x, rt.lub(t, u), 'Nat')" in src
+    assert "rt.TBase(" not in src.split("_SIGNATURES = {}")[0]
 
 
 def test_recursive_call_is_direct(power_genext):
-    assert "mk_power(st, t, u, rt.mk_prim(st, '-', t," in power_genext.source
+    assert "mk_power(st, t, u, rt.mk_sub(st, t, n," in power_genext.source
 
 
 def test_metadata_tables(power_genext):

@@ -3,6 +3,7 @@ profiler, trace determinism across pool widths, and the CLI sinks."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.obs.schema import (
 )
 from repro.obs.trace import NULL_TRACER, TRACE_SCHEMA, Tracer
 from repro.pipeline import Fault, FaultPlan, FaultPolicy, build_dir
-from repro.pipeline.build import BuildEngine
+from repro.pipeline.build import BuildEngine, _analyse_cogen_worker
 
 POWER = "module Power where\n\npower n x = if n == 1 then x else x * power (n - 1) x\n"
 MAIN = "module Main where\nimport Power\n\ncube y = power 3 y\n"
@@ -90,6 +91,28 @@ def test_add_events_merges_worker_batches():
         pass
     parent.add_events(worker.events)
     assert parent.span_names() == ["job:M"]
+
+
+def test_tracers_of_one_process_share_one_clock():
+    a, b = Tracer(), Tracer()
+    assert a.epoch == b.epoch
+    with a.span("outer"):
+        with b.span("inner"):
+            pass
+    assert _within(b.events[0], a.events[0])
+
+
+def test_worker_records_on_the_epoch_it_is_handed():
+    # A clock anchored 1000 s after the Unix epoch: the worker's spans
+    # must read it, not the worker process's own.
+    epoch = (1000.0, time.perf_counter())
+    payload = ("Power", POWER, (), (), epoch)
+    events = _analyse_cogen_worker(payload)[3]
+    assert {e["name"] for e in events} == {
+        "job:Power", "analyse:Power", "cogen:Power",
+    }
+    for e in events:
+        assert 1000e6 <= e["ts"] < 1060e6
 
 
 def test_tracer_publishes_span_ends_on_bus():
@@ -233,6 +256,40 @@ def test_trace_skeleton_deterministic_across_pool_widths(
     assert skeletons[1] == skeletons[4], (
         "span multiset must not depend on pool width"
     )
+
+
+def _within(inner, outer):
+    return (
+        outer["ts"] <= inner["ts"]
+        and inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_spans_nest_inside_their_job_and_stage(tmp_path, jobs):
+    """Worker spans and the build's own are on one clock, so they nest
+    exactly: each ``analyse:M`` and ``cogen:M`` lies within its
+    ``job:M``, and each ``job:M`` within a ``stage:analyse``."""
+    src = tmp_path / "src"
+    src.mkdir()
+    for name, text in wide_program(3, 3, defs_per_module=2, seed=3).items():
+        (src / (name + ".mod")).write_text(text)
+    obs = Obs.enabled()
+    BuildEngine(
+        str(src),
+        BuildOptions(cache_dir=str(tmp_path / "cache"), jobs=jobs),
+        obs=obs,
+    ).build()
+    spans = [e for e in obs.tracer.events if e.get("ph") == "X"]
+    by_name = {e["name"]: e for e in spans}
+    stages = [e for e in spans if e["name"] == "stage:analyse"]
+    jobs_ = [e for e in spans if e["name"].startswith("job:")]
+    assert len(jobs_) == 9 and stages
+    for job in jobs_:
+        module = job["name"][len("job:"):]
+        for kind in ("analyse", "cogen"):
+            assert _within(by_name["%s:%s" % (kind, module)], job), (kind, module)
+        assert any(_within(job, stage) for stage in stages), module
 
 
 def test_disabled_observation_is_the_default(tmp_path):

@@ -351,3 +351,149 @@ def test_fresh_names_are_deterministic():
 def test_invalid_strategy_rejected():
     with pytest.raises(ValueError):
         rt.SpecState({}, ModuleGraph({}), strategy="zigzag")
+
+
+# -- one generating primitive per operator -------------------------------------
+
+
+def _pe(v):
+    return v if isinstance(v, rt.PE) else rt.from_python(v)
+
+
+# Well-typed static operands of every operator, as plain values.
+_WELL_TYPED = {
+    "or": (False, True),
+    "and": (True, True),
+    "==": (3, 3),
+    "<": (2, 3),
+    "<=": (3, 2),
+    "cons": (1, (2, 3)),
+    "+": (2, 3),
+    "-": (2, 5),
+    "*": (4, 5),
+    "div": (7, 2),
+    "mod": (7, 2),
+    "not": (False,),
+    "head": ((1, 2),),
+    "tail": ((1, 2),),
+    "null": ((),),
+    "pair": (1, (2,)),
+    "fst": (("pair", 1, (2,)),),
+    "snd": (("pair", 1, (2,)),),
+}
+
+_CODE = rt.DCode(Var("d"))
+
+# Ill-typed static operands and the error each must raise, verbatim.
+_ILL_TYPED = [
+    ("or", (1, True), "primitive failed during specialisation: expected a boolean, got 1"),
+    ("or", (_CODE, True), "static 'or' applied to non-static operand"),
+    ("and", (True, 0), "primitive failed during specialisation: expected a boolean, got 0"),
+    ("==", (True, 1), "primitive failed during specialisation: expected a natural, got True"),
+    ("<", (1, _CODE), "static '<' applied to non-static operand"),
+    ("<=", (1, False), "primitive failed during specialisation: expected a natural, got False"),
+    ("cons", (1, _CODE), "static 'cons' onto non-static list"),
+    ("+", (True, 1), "primitive failed during specialisation: expected a natural, got True"),
+    ("+", (_CODE, 1), "static '+' applied to non-static operand"),
+    ("-", (1, True), "primitive failed during specialisation: expected a natural, got True"),
+    ("*", ((), 2), "static '*' applied to non-static operand"),
+    ("div", (1, 0), "primitive failed during specialisation: division by zero"),
+    ("div", (True, 2), "primitive failed during specialisation: expected a natural, got True"),
+    ("mod", (1, 0), "primitive failed during specialisation: modulo by zero"),
+    ("not", (3,), "primitive failed during specialisation: expected a boolean, got 3"),
+    ("not", (_CODE,), "static 'not' applied to non-static operand"),
+    ("head", ((),), "head of empty list during specialisation"),
+    ("head", (_CODE,), "static 'head' of non-static list"),
+    ("tail", ((),), "tail of empty list during specialisation"),
+    ("tail", (_CODE,), "static 'tail' of non-static list"),
+    ("null", (_CODE,), "static 'null' of non-static list"),
+    ("fst", ((1, 2),), "static 'fst' of non-static pair"),
+    ("snd", (4,), "static 'snd' of non-static pair"),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except rt.SpecError as e:
+        return ("error", str(e))
+
+
+def test_every_operator_has_one_generating_primitive():
+    from repro.lang.prims import PRIMS
+
+    assert set(rt.PRIMITIVES) == set(PRIMS)
+    for op, fn in rt.PRIMITIVES.items():
+        assert getattr(rt, fn.__name__) is fn
+
+
+@pytest.mark.parametrize("op", sorted(_WELL_TYPED))
+def test_primitive_static_agrees_with_the_interpreter(op):
+    from repro.lang.prims import apply_prim
+
+    st = state()
+    plain = _WELL_TYPED[op]
+    args = tuple(_pe(v) for v in plain)
+    got = _outcome(rt.PRIMITIVES[op], st, rt.S, *args)
+    assert got == ("value", rt.from_python(apply_prim(op, list(plain))))
+    assert _outcome(rt.mk_prim, st, op, rt.S, args) == got
+
+
+def test_static_monus_cuts_off_at_zero():
+    st = state()
+    assert rt.mk_sub(st, rt.S, rt.SBase(5), rt.SBase(2)) == rt.SBase(3)
+    assert rt.mk_sub(st, rt.S, rt.SBase(2), rt.SBase(5)) == rt.SBase(0)
+
+
+@pytest.mark.parametrize("op,plain,message", _ILL_TYPED)
+def test_primitive_ill_typed_operands_raise_verbatim(op, plain, message):
+    st = state()
+    args = tuple(_pe(v) for v in plain)
+    got = _outcome(rt.PRIMITIVES[op], st, rt.S, *args)
+    assert got == ("error", message)
+    assert _outcome(rt.mk_prim, st, op, rt.S, args) == got
+
+
+def test_every_operator_has_an_ill_typed_case():
+    assert {op for op, _, _ in _ILL_TYPED} == set(rt.PRIMITIVES) - {"pair"}
+
+
+@pytest.mark.parametrize("op", sorted(_WELL_TYPED))
+def test_primitive_dynamic_builds_the_prim_node(op):
+    st = state()
+    codes = tuple(Var("v%d" % i) for i in range(len(_WELL_TYPED[op])))
+    args = tuple(rt.DCode(c) for c in codes)
+    got = rt.PRIMITIVES[op](st, rt.D, *args)
+    assert got == rt.DCode(Prim(op, codes))
+    assert rt.mk_prim(st, op, rt.D, args) == got
+
+
+def test_dynamic_primitive_rejects_a_static_operand():
+    st = state()
+    x, y = rt.SBase(1), rt.DCode(Var("x"))
+    with pytest.raises(rt.SpecError, match="expected a dynamic value"):
+        rt.mk_add(st, rt.D, x, y)
+    with pytest.raises(rt.SpecError, match="expected a dynamic value"):
+        rt.mk_prim(st, "+", rt.D, (x, y))
+
+
+@pytest.mark.parametrize("bt", [rt.S, rt.D], ids=["S", "D"])
+@pytest.mark.parametrize("value", [0, 7, True, False])
+def test_lit_at_agrees_with_coercing_a_literal(bt, value):
+    st = state()
+    name = "Bool" if isinstance(value, bool) else "Nat"
+    want = rt.coerce(st, rt.lit(value), rt.TBase(name, bt))
+    got = rt.lit_at(bt, value)
+    assert got == want and type(got) is type(want)
+    if not bt.dyn:
+        assert type(got.value) is type(value)  # True stays a boolean
+
+
+@pytest.mark.parametrize("bt", [rt.S, rt.D], ids=["S", "D"])
+@pytest.mark.parametrize(
+    "pe", [rt.SBase(3), rt.SBase(True), rt.DCode(Var("x")), rt.SList(())]
+)
+def test_coerce_base_agrees_with_coerce(bt, pe):
+    st = state()
+    want = _outcome(rt.coerce, st, pe, rt.TBase("Nat", bt))
+    assert _outcome(rt.coerce_base, st, pe, bt, "Nat") == want

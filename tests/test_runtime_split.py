@@ -119,3 +119,72 @@ def test_pair_of_pairs_key_roundtrip():
     b = resid(st, v)
     assert a.code.func == b.code.func
     assert a.code.args == ()
+
+
+# -- ground static data is memoised whole ---------------------------------
+
+
+def test_ground_list_splits_whole_to_its_plain_value():
+    xs = rt.SList((rt.SBase(1), rt.SBase(2), rt.SBase(3)))
+    split = rt._split(xs, "a")
+    assert split.key == (1, 2, 3) == rt.to_python(xs)
+    assert split.dyn == () and split.hints == ()
+    assert split.rebuild([]) is xs
+
+
+def test_nested_ground_value_splits_whole():
+    v = rt.SList((rt.SPair(rt.SBase(1), rt.SList((rt.SBase(2),))),))
+    split = rt._split(v, "a")
+    assert split.key == rt.to_python(v)
+    assert split.dyn == ()
+    assert split.rebuild([]) is v
+
+
+def test_list_with_a_dynamic_leaf_splits_per_element():
+    xs = rt.SList((rt.SBase(1), rt.DCode(Var("p")), rt.SBase(2)))
+    split = rt._split(xs, "a")
+    assert split.key == ("l", 1, ("d",), 2)
+    assert split.dyn == (Var("p"),) and split.hints == ("a",)
+    rebuilt = split.rebuild([rt.DCode(Var("q"))])
+    assert rebuilt == rt.SList((rt.SBase(1), rt.DCode(Var("q")), rt.SBase(2)))
+
+
+def test_list_with_a_closure_splits_per_element():
+    clo = rt.SClo("x", lambda st_, arg: arg, (), (), "lab", ("g",))
+    xs = rt.SList((rt.SBase(1), clo))
+    split = rt._split(xs, "a")
+    assert split.key == ("l", 1, ("c", "lab", (), ("c",)))
+    assert split.dyn == ()
+    assert split.rebuild([]) == xs
+
+
+def test_equal_ground_tables_share_one_version():
+    st = state()
+    a = resid(st, rt.SList((rt.SBase(4), rt.SBase(5))))
+    b = resid(st, rt.SList((rt.SBase(4), rt.SBase(5))))
+    c = resid(st, rt.SList((rt.SBase(5), rt.SBase(4))))
+    assert a.code == b.code and a.code.args == ()
+    assert c.code.func != a.code.func
+    assert st.stats.memo_hits == 1 and st.stats.specialisations == 2
+
+
+def test_ground_and_partially_static_keys_never_meet():
+    st = state()
+    ground = resid(st, rt.SList((rt.SBase(1),)))
+    partial = resid(st, rt.SList((rt.DCode(Var("x")),)))
+    empty = resid(st, rt.SList(()))
+    pair = resid(st, rt.SPair(rt.SBase(1), rt.SBase(1)))
+    calls = (ground, partial, empty, pair)
+    assert len({c.code.func for c in calls}) == 4
+
+
+def test_placement_skips_ground_tables_but_not_closures():
+    fn_info = {
+        "f": rt.FnInfo("f", "A", ("a",), ("f",)),
+        "g": rt.FnInfo("g", "B", ("x",), ("g",)),
+    }
+    st = rt.SpecState(fn_info, ModuleGraph({"A": (), "B": ("A",)}))
+    table = rt.SList(tuple(rt.SBase(i) for i in range(8)))
+    assert st.place("f", (table,)) == frozenset({"A"})
+    clo = rt.SClo("x", lambda st_, a: a, (), (), "lab", ("g",))
+    assert st.place("f", (rt.SList((rt.SBase(1), clo)),)) == frozenset({"B"})

@@ -103,13 +103,13 @@ def test_key_ignores_execution_knobs_but_not_semantics():
 def test_default_strategy_key_is_pinned():
     """A default-strategy request hashes the same bytes for as long as
     ``CACHE_EPOCH`` stands, so residuals cached by earlier releases stay
-    warm; size-change unfolding keys apart from it.  Pinned at epoch 3:
-    the bump from 2 came with late-bound cross-module calls in the
-    generated code."""
+    warm; size-change unfolding keys apart from it.  Pinned at epoch 4:
+    the bump from 3 came with one generating primitive per operator and
+    skeleton-free base coercions in the generated code."""
     fp = "0" * 64
     base = residual_cache_key(fp, "power", {"n": 3}, SpecOptions())
     assert base == (
-        "bd4b6bd8e50e27fd9c707f6c1add5ea8a93ccae27b976b547a8369eda3e8d743"
+        "d80db5d996445506b31d22c6983a594884675160bfbbef391807d837fc23aa73"
     )
     assert base != residual_cache_key(
         fp, "power", {"n": 3}, SpecOptions(unfolding="size-change")
