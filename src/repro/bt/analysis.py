@@ -98,14 +98,6 @@ def most_general_scheme(arity):
 
 
 @dataclass
-class DefAnalysis:
-    """The result of analysing one definition."""
-
-    scheme: BTScheme
-    annotated: ADef
-
-
-@dataclass
 class ModuleAnalysis:
     """The result of analysing one module: its binding-time interface
     (one scheme per definition) plus the annotated module."""

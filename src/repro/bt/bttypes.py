@@ -153,9 +153,6 @@ class BTUnifier:
         """A fresh skeleton variable with a fresh top binding time."""
         return BTTSkel(self.alloc_skel_id(), self.graph.fresh())
 
-    def fresh_base(self, name):
-        return BTTBase(name, self.graph.fresh())
-
     def resolve(self, t):
         """Follow skeleton-variable bindings at the root.
 

@@ -35,9 +35,6 @@ class ConstraintGraph:
         self._succ[self._next] = set()
         return self._next
 
-    def var_count(self):
-        return self._next
-
     def set_context(self, text):
         """Set the provenance recorded on subsequently added edges (used
         by the analysis so :mod:`repro.bt.explain` can answer "why is

@@ -11,17 +11,17 @@ function.  The serialisation is canonical (sorted keys, fixed layout),
 so *byte equality of interface files coincides with semantic equality of
 interfaces*.
 
-The format (``"format": 2``) also carries a per-definition scheme
-digest table (``"digests"``): the SHA-256 of each exported scheme's
-canonical JSON.  Per-def digests are what lets the build key a
-dependent module on *only the definitions it actually references*
-(:func:`module_key_v2`) rather than on the whole interface file — the
-definition-level early cutoff.
+The file holds the schemes and nothing derived from them (``"format":
+3``).  Each parse derives the per-definition scheme digests
+(:func:`scheme_digest`, the SHA-256 of a scheme's canonical JSON) that
+let the build key a dependent module on *only the definitions it
+actually references* (:func:`module_key_v2`) rather than on the whole
+interface file — the definition-level early cutoff.
 
-All parsing and verification lives in :class:`InterfaceStore`;
-:func:`read_interface` is a thin wrapper over it.  The
-separate-analysis workflow itself (analyse each module once, against
-its imports' interfaces) is :class:`repro.pipeline.BuildEngine`.
+All parsing lives in :class:`InterfaceStore`; :func:`read_interface`
+is a thin wrapper over it.  The separate-analysis workflow itself
+(analyse each module once, against its imports' interfaces) is
+:class:`repro.pipeline.BuildEngine`.
 """
 
 import hashlib
@@ -36,12 +36,12 @@ from repro.bt.scheme import BTScheme
 from repro.lru import LruMemo
 
 INTERFACE_SUFFIX = ".bti"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Bumping this invalidates every cached artifact (interfaces, genext
 # sources, code objects) — do so whenever the analysis or the cogen
 # changes what it produces for the same input.
-CACHE_EPOCH = 4
+CACHE_EPOCH = 5
 
 
 class InterfaceError(Exception):
@@ -132,7 +132,6 @@ def interface_text(module_name, schemes):
         "format": FORMAT_VERSION,
         "module": module_name,
         "schemes": {name: scheme_to_json(s) for name, s in schemes.items()},
-        "digests": {name: scheme_digest(s) for name, s in schemes.items()},
     }
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
@@ -167,17 +166,12 @@ def write_interface(path, module_name, schemes):
 
 @dataclass(frozen=True)
 class Interface:
-    """One parsed interface document.
-
-    ``digests`` is derived from the parsed schemes; ``stored_digests``
-    is the digest table as present in the file, kept separate so
-    :meth:`InterfaceStore.verify` can detect skew between the table and
-    the schemes it claims to describe."""
+    """One parsed interface document; ``digests`` is derived from the
+    parsed schemes (:func:`scheme_digest`)."""
 
     module: str
     schemes: Dict[str, BTScheme]
     digests: Dict[str, str]
-    stored_digests: Dict[str, str]
     text: str
 
 
@@ -195,7 +189,7 @@ def clear_interface_memo():
 
 
 class InterfaceStore:
-    """The single place interface documents are parsed and verified.
+    """The single place interface documents are parsed.
 
     The :func:`read_interface` helper, the ``repro.check.ifaces``
     checker and the build engine all route through this class, so the
@@ -254,23 +248,9 @@ class InterfaceStore:
             }
         except InterfaceError as e:
             raise InterfaceError("%s: %s" % (origin, e))
-        stored = payload.get("digests")
-        if not isinstance(stored, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in stored.items()
-        ):
-            raise InterfaceError(
-                "%s: missing or malformed 'digests' table" % origin
-            )
-        # The authoritative digests are always re-derived from the
-        # schemes: a stale stored table can then never poison a cache
-        # key — it is surfaced as skew by verify() instead.
         digests = {name: scheme_digest(s) for name, s in schemes.items()}
         return Interface(
-            module=module,
-            schemes=schemes,
-            digests=digests,
-            stored_digests=stored,
-            text=text,
+            module=module, schemes=schemes, digests=digests, text=text
         )
 
     def load(self, path):
@@ -284,45 +264,20 @@ class InterfaceStore:
             raise InterfaceError("corrupt interface file %s: %s" % (path, e))
         return self.load_text(text, origin=path)
 
-    def verify(self, iface):
-        """Check a parsed interface's internal consistency.
 
-        Returns a list of ``(rule, def_name, message)`` problems; empty
-        means the document is self-consistent.  The interesting rule is
-        ``def_digest_skew``: a digest table that disagrees with the
-        schemes next to it (a hand edit or a torn merge) — distinct
-        from a corrupt file, because the schemes themselves parsed."""
-        problems = []
-        for name in sorted(set(iface.stored_digests) | set(iface.digests)):
-            stored = iface.stored_digests.get(name)
-            derived = iface.digests.get(name)
-            if stored is None:
-                problems.append(
-                    (
-                        "def_digest_skew",
-                        name,
-                        "digest table has no entry for exported def %r" % name,
-                    )
-                )
-            elif derived is None:
-                problems.append(
-                    (
-                        "def_digest_skew",
-                        name,
-                        "digest table names %r but no such scheme is present"
-                        % name,
-                    )
-                )
-            elif stored != derived:
-                problems.append(
-                    (
-                        "def_digest_skew",
-                        name,
-                        "stale digest for %r: table has %s.., scheme derives %s.."
-                        % (name, stored[:12], derived[:12]),
-                    )
-                )
-        return problems
+def retired_format(text):
+    """The ``format`` of an interface text an earlier version wrote (a
+    JSON object whose integer format is below :data:`FORMAT_VERSION`),
+    else ``None``.  Such a text is drift, not damage: this version
+    reads no format but its own."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    format = payload.get("format") if isinstance(payload, dict) else None
+    if type(format) is int and 0 < format < FORMAT_VERSION:
+        return format
+    return None
 
 
 _STORE = InterfaceStore()

@@ -104,18 +104,6 @@ class BTScheme:
                 out[s] = btmod.BT(frozenset(reach[s]), False)
         return out
 
-    def symbolic_args(self):
-        """Argument binding-time types with symbolic slots."""
-        sol = self.solve_symbolic()
-        return tuple(map_bts(a, lambda s: sol[s]) for a in self.args)
-
-    def symbolic_res(self):
-        sol = self.solve_symbolic()
-        return map_bts(self.res, lambda s: sol[s])
-
-    def symbolic_unfold(self):
-        return self.solve_symbolic()[self.unfold]
-
     def __str__(self):
         # Input slots print as bare parameter names with explicit
         # qualifications, the way the paper writes qualified types

@@ -13,8 +13,6 @@ published before an edit to its source).  This pass can:
   never against anything on disk;
 * diffs the committed interface against the re-derivation, per function
   (missing, extra, or differing schemes are each separate findings);
-* checks the file's per-definition digest table against its own
-  schemes (``def_digest_skew``);
 * checks the committed file is the canonical serialisation of its own
   schemes (a non-canonical file breaks the byte-equality-is-semantic-
   equality property).
@@ -153,17 +151,8 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
                     )
                 )
 
-        # An interface whose stored per-def digest table disagrees
-        # with its own schemes is *stale*, not corrupt: the schemes
-        # still parse and analyse, but importers keyed on the stored
-        # digests saw assumptions the schemes no longer make.
-        digest_skew = store.verify(committed_iface)
-        for rule, fn, msg in digest_skew:
-            findings.append(
-                _finding(rule, "%s:%s" % (where, fn), msg)
-            )
         canonical = interface_text(module_name, committed)
-        if not digest_skew and committed_iface.text != canonical:
+        if committed_iface.text != canonical:
             findings.append(
                 _finding(
                     "non-canonical",

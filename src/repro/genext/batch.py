@@ -24,9 +24,10 @@ Three layers of work avoidance stack:
    writers safe.
 3. **The pool itself** — independent requests run concurrently, one
    :class:`~repro.genext.link.GenextProgram` re-link per worker
-   process, memoised in :data:`_WORKER_PROGRAMS` (pre-seeded in the
-   parent before the pool forks, so on ``fork`` platforms workers
-   inherit the already-linked program and re-link nothing).  Pass a
+   process and program, memoised in the bounded
+   :data:`_WORKER_PROGRAMS` (pre-seeded in the parent before the pool
+   forks, so on ``fork`` platforms workers inherit the already-linked
+   program and re-link nothing).  Pass a
    :class:`~repro.pipeline.pool.WorkerPool` as ``pool`` to keep those
    forked workers alive *across calls*: the pool is created once,
    reused by every batch (and every retry wave within a batch), and
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.genext.runtime import SpecError
+from repro.lru import LruMemo
 from repro.pipeline.faults import FaultPolicy, ModuleFailure, WaveSupervisor
 
 __all__ = [
@@ -139,9 +141,11 @@ class BatchResult:
 
 # Worker-process memo: fingerprint -> linked GenextProgram.  Pre-seeded
 # in the parent before the pool is created, so fork-started workers
-# inherit the linked program; spawn-started (or evicted) workers re-link
-# once from the shipped module sources.
-_WORKER_PROGRAMS = {}
+# inherit the linked program; spawn-started workers, and workers asked
+# for a program they no longer hold, re-link once from the shipped
+# module sources.  Bounded: a daemon relinks on every watched-source
+# edit, and only the newest programs are still asked for.
+_WORKER_PROGRAMS = LruMemo(4)
 
 
 def seed_worker_program(gp):
@@ -155,17 +159,23 @@ def seed_worker_program(gp):
     fingerprint = getattr(gp, "fingerprint", None)
     fingerprint = fingerprint() if callable(fingerprint) else None
     if fingerprint is not None:
-        _WORKER_PROGRAMS[fingerprint] = gp
+        _WORKER_PROGRAMS.put(fingerprint, gp)
     return fingerprint
 
 
-def _worker_program(fingerprint, modules):
+def _worker_program(fingerprint, program):
+    """The linked program a payload runs against.  A payload run in
+    this process carries the program itself; one shipped to a pool
+    worker carries its genext modules (text), linked once per
+    fingerprint."""
+    if not isinstance(program, list):
+        return program
     gp = _WORKER_PROGRAMS.get(fingerprint)
     if gp is None:
         from repro.genext.link import link_genexts
 
-        gp = link_genexts(modules)
-        _WORKER_PROGRAMS[fingerprint] = gp
+        gp = link_genexts(program)
+        _WORKER_PROGRAMS.put(fingerprint, gp)
     return gp
 
 
@@ -174,7 +184,7 @@ def _specialise_worker(payload):
     residual payload out.  Results travel as text payloads, never as
     pickled residual ASTs — the same discipline the persistent cache
     uses, which is what makes the jobs-width byte-identity hold."""
-    name, fingerprint, modules, goal, static_args, options = payload
+    name, fingerprint, program, goal, static_args, options = payload
     from repro.genext.engine import specialise
     from repro.pipeline import faultinject
     from repro.speccache import encode_result
@@ -183,7 +193,7 @@ def _specialise_worker(payload):
     # worker mid-request (the parent sees BrokenProcessPool and the
     # supervisor's degradation path answers off the retry budget).
     faultinject.fire("serve", goal)
-    gp = _worker_program(fingerprint, modules)
+    gp = _worker_program(fingerprint, program)
     return encode_result(specialise(gp, goal, dict(static_args), options))
 
 
@@ -289,9 +299,10 @@ def specialise_many(
         len(cold) > 1 if pool is None else len(cold) >= 1
     ) and (jobs > 1 or pool is not None)
     effective_jobs = (pool.jobs if pool is not None else jobs) if use_pool else 1
-    shipped = modules if use_pool else None
-    # Pre-seed so forked workers (and the serial path) skip re-linking.
-    _WORKER_PROGRAMS[fingerprint] = gp
+    if use_pool:
+        # Workers forked from here on inherit the linked program.
+        seed_worker_program(gp)
+    program = modules if use_pool else gp
 
     payloads = []
     for key in cold:
@@ -301,7 +312,7 @@ def specialise_many(
             (
                 "req%d" % index,
                 fingerprint,
-                shipped,
+                program,
                 req.goal,
                 req.static_args,
                 options,
@@ -316,8 +327,6 @@ def specialise_many(
         done, failed = supervisor.run_wave(payloads)
     finally:
         supervisor.shutdown()
-        if fingerprint is None:
-            del _WORKER_PROGRAMS[fingerprint]
 
     results = [None] * len(reqs)
     failures = {}

@@ -84,11 +84,6 @@ def goal_binding_times(signature, static_names):
             continue
         for b in mentioned:
             env[b] = D
-    for a, b in signature.quals:
-        if env.get(a, S).dyn:
-            env[b] = D
-    for b in signature.dyn_inputs:
-        env[b] = D
     # Contravariant result inputs: the residual program's returned
     # closures face unknown (dynamic) contexts.
     for b in signature.result_inputs:
@@ -146,12 +141,16 @@ def specialise(gp, goal, static_args=None, options=None, obs=None):
         fingerprint = getattr(gp, "fingerprint", None)
         fingerprint = fingerprint() if callable(fingerprint) else None
         if fingerprint is not None:
-            from repro.speccache import SpecCache, decode_result
+            from repro.speccache import (
+                SpecCache,
+                decode_result,
+                residual_cache_key,
+            )
 
             cache = SpecCache(
                 options.cache_dir, metrics=obs.metrics, bus=obs.bus
             )
-            key = cache.key(fingerprint, goal, static_args, options)
+            key = residual_cache_key(fingerprint, goal, static_args, options)
             payload = cache.get(key, goal=goal)
             if payload is not None:
                 return decode_result(payload, obs=obs, fuel=options.fuel)

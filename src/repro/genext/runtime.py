@@ -526,27 +526,26 @@ def _closure_fvs(pe, out):
 @dataclass(frozen=True)
 class Signature:
     """Goal-setup information embedded in a generating extension for each
-    exported function (binding-time interface, in executable form)."""
+    exported function (binding-time interface, in executable form).
+    :func:`~repro.genext.engine.goal_binding_times` makes dynamic every
+    binding-time parameter that ``param_bts`` lists for a dynamic
+    argument, and every one in ``result_inputs``."""
 
     bt_params: Tuple[str, ...]
     params: Tuple[str, ...]
     param_bts: Tuple[Tuple[str, ...], ...]  # bt params mentioned per param
     param_types: Callable  # bt-env dict -> tuple of runtime types
-    quals: Tuple[Tuple[str, str], ...]  # (a <= b) over bt param names
-    dyn_inputs: Tuple[str, ...]  # bt params forced dynamic
     result_inputs: Tuple[str, ...] = ()  # contravariant result params
 
 
 @dataclass(frozen=True)
 class FnInfo:
     """Per-function metadata a generating extension registers with the
-    linker: defining module, parameter names (used as fresh-variable
-    hints), and per-definition free function names."""
+    linker: the defining module (residual placement) and the parameter
+    names (fresh-variable hints)."""
 
-    name: str
     module: str
     params: Tuple[str, ...]
-    fvs: Tuple[str, ...]
 
 
 @dataclass
@@ -566,7 +565,6 @@ class Stats:
     pending_peak: int = 0
     active_peak: int = 0
     residual_nodes: int = 0
-    coercions: int = 0
 
     def as_dict(self):
         return dict(self.__dict__)

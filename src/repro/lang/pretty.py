@@ -15,13 +15,6 @@ _JUXT_ARG = 8
 _JUXT = 7.5  # a juxtaposition binds tighter than '@' but is not an atom
 
 
-def _prim_prec(op):
-    info = PRIMS[op]
-    if info.infix:
-        return info.precedence
-    return _JUXT
-
-
 def pretty_expr(expr, prec=0):
     """Render ``expr``; parenthesise if its precedence is below ``prec``."""
     if isinstance(expr, Lit):

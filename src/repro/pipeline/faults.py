@@ -51,7 +51,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bt.interface import InterfaceError, InterfaceStore
+from repro.bt.interface import (
+    FORMAT_VERSION,
+    InterfaceError,
+    InterfaceStore,
+    retired_format,
+)
 from repro.pipeline.pool import WorkerPool
 from repro.pipeline.cache import (
     CODE_KIND,
@@ -487,10 +492,10 @@ class FsckReport:
     ``stale`` is a *distinct* finding kind — artifacts that are intact
     but that no loader on this interpreter would use (a tier-2 code
     object with another build's cache tag, an emitted ``resid.py``
-    missing its header, an object of a retired kind such as
-    ``defs.json``).  Both move to the quarantine directory (a
-    stale object is dead weight either way; a live kind regenerates on
-    demand), but tooling can tell rot from drift."""
+    missing its header, an interface of a retired format, an object of
+    a retired kind such as ``defs.json``).  Both move to the quarantine
+    directory (a stale object is dead weight either way; a live kind
+    regenerates on demand), but tooling can tell rot from drift."""
 
     scanned: int = 0
     quarantined: List[Tuple[str, str]] = field(default_factory=list)
@@ -550,18 +555,22 @@ def _validate_object(kind, data):
     if not data:
         return ("corrupt", "empty object")
     if kind == IFACE_KIND:
-        store = InterfaceStore()
         try:
-            iface = store.load_text(data.decode("utf-8"), origin="<fsck>")
-        except (InterfaceError, UnicodeDecodeError) as exc:
+            text = data.decode("utf-8")
+            InterfaceStore().load_text(text, origin="<fsck>")
+        except UnicodeDecodeError as exc:
             return ("corrupt", "corrupt interface: %s" % exc)
-        findings = store.verify(iface)
-        if findings:
-            # A parseable interface whose stored per-def digest table
-            # disagrees with its schemes: stale, not garbage — the
-            # distinct reason lets tooling tell the two apart.
-            rule, def_name, msg = findings[0]
-            return ("stale", "iface.%s: %s" % (rule, msg))
+        except InterfaceError as exc:
+            retired = retired_format(text)
+            if retired is None:
+                return ("corrupt", "corrupt interface: %s" % exc)
+            # Intact, but written by an earlier version: drift, not
+            # damage (a fresh build keys its artifacts apart from it).
+            return (
+                "stale",
+                "retired interface format %d (this version writes %d)"
+                % (retired, FORMAT_VERSION),
+            )
         return None
     if kind == GENEXT_KIND:
         try:
@@ -617,8 +626,8 @@ def fsck_cache(cache):
 
     Intact artifacts no loader on this interpreter would use — a
     tier-2 code record with a foreign cache tag, an emitted
-    ``resid.py`` without its header, a retired ``defs.json`` record —
-    are quarantined too but reported
+    ``resid.py`` without its header, an interface of a retired format,
+    a retired ``defs.json`` record — are quarantined too but reported
     under the distinct ``stale`` finding kind (a live kind regenerates
     on demand; see :class:`FsckReport`).  Code objects of *other*
     interpreters cannot be validated here and are reported as foreign,

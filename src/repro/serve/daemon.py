@@ -125,6 +125,14 @@ class ServeConfig:
             raise ValueError(
                 "tier_hot must be >= 1, got %d" % self.tier_hot
             )
+        if self.options.unfolding != "lub":
+            # The daemon builds through BuildOptions, which analyses
+            # with the default strategy: it could only serve lub
+            # residuals, whatever this option asked for.
+            raise ValueError(
+                "the daemon analyses with unfolding='lub' only, got %r"
+                % (self.options.unfolding,)
+            )
         if self.socket_path is None and self.tcp is None:
             self.socket_path = os.path.join(self.dir, DEFAULT_SOCKET_NAME)
         if self.cache_dir is None:

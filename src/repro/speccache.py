@@ -26,11 +26,9 @@ Key anatomy
   ``strategy``, ``monolithic``, and ``max_versions`` (they change what
   the run produces — or whether it fails);  ``fuel``/``timeout``/
   ``sink``/``cache_dir`` do not enter the key (they change how the run
-  is executed or consumed, never its result);
-* the analysis strategy ``unfolding``, but only when it is not the
-  default ``"lub"``.  The field arrived after the cache did; keying it
-  conditionally keeps every older key valid, since a default-strategy
-  request hashes exactly the bytes it always did.
+  is executed or consumed, never its result).  The analysis options
+  ``force_residual`` and ``unfolding`` do not enter it either: they act
+  through the analysis, so they already change the fingerprint.
 
 Editing one module's source, relinking in a different topology, or
 changing any keyed option therefore forces a miss; everything else is a
@@ -128,13 +126,6 @@ def residual_cache_key(fingerprint, goal, static_args, options):
             else b"%d" % options.max_versions,
         )
     )
-    # The unfolding strategy changes the residual program, so it keys
-    # the cache.  Appended conditionally so every pre-existing key stays
-    # valid.
-    if options.unfolding != "lub":
-        h.update(
-            b"\x00analysis=unfolding:%s" % options.unfolding.encode("utf-8")
-        )
     return h.hexdigest()
 
 
@@ -281,9 +272,6 @@ class SpecCache:
     def _event(self, name, **payload):
         if self.bus is not None:
             self.bus.emit(name, **payload)
-
-    def key(self, fingerprint, goal, static_args, options):
-        return residual_cache_key(fingerprint, goal, static_args, options)
 
     def get(self, key, goal=None):
         """The cached payload dict for ``key``, or ``None`` on a miss

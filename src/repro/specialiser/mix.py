@@ -26,7 +26,6 @@ from repro.anno.ast import (
     ALit,
     APrim,
     AVar,
-    acalled_functions,
 )
 from repro.bt.bt import evaluate
 from repro.bt.bttypes import BTTBase, BTTFun, BTTList, BTTPair, BTTSkel
@@ -72,8 +71,6 @@ def _signature_of(adef, scheme):
         params=adef.params,
         param_bts=param_own_names(scheme),
         param_types=param_types,
-        quals=(),
-        dyn_inputs=(),
         result_inputs=result_input_names(scheme),
     )
 
@@ -89,12 +86,7 @@ class MixProgram:
             for d in m.defs:
                 self.defs[d.name] = (m.name, d)
         self.fn_info = {
-            name: rt.FnInfo(
-                name,
-                module,
-                d.params,
-                tuple(sorted(acalled_functions(d.body) | {name})),
-            )
+            name: rt.FnInfo(module, d.params)
             for name, (module, d) in self.defs.items()
         }
         self._signatures = {

@@ -59,12 +59,7 @@ class OnlineSpecialiser:
         for module, d in linked.program.all_defs():
             self.defs[d.name] = d
         self.fn_info = {
-            name: rt.FnInfo(
-                name,
-                linked.symbols.module_of(name),
-                d.params,
-                tuple(sorted(called_functions(d.body) | {name})),
-            )
+            name: rt.FnInfo(linked.symbols.module_of(name), d.params)
             for name, d in self.defs.items()
         }
         self._lam_labels = {}

@@ -136,15 +136,3 @@ def type_to_str(t, names=None):
         raise TypeError("not a type: %r" % (t,))
 
     return go(t, False)
-
-
-def scheme_to_str(s):
-    names = {}
-    for vid in s.vars:
-        names[vid] = _var_name(len(names))
-    for vid in sorted(free_type_vars(s.type) - set(s.vars)):
-        names[vid] = "t%d" % vid
-    body = type_to_str(s.type, names)
-    if not s.vars:
-        return body
-    return "forall %s. %s" % (" ".join(names[v] for v in s.vars), body)

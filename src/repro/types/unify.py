@@ -35,9 +35,6 @@ class Unifier:
             self._binding[vid] = t
         return t
 
-    def shallow(self, t):
-        return self.resolve(t)
-
     def deep(self, t):
         """Fully apply the substitution to ``t``."""
         t = self.resolve(t)

@@ -69,8 +69,7 @@ def test_recursive_call_is_direct(power_genext):
 def test_metadata_tables(power_genext):
     src = power_genext.source
     assert "_SIGNATURES[_QUAL + 'power'] = rt.Signature(bt_params=('t', 'u')" in src
-    assert ("_FN_INFO[_QUAL + 'power'] = rt.FnInfo(_QUAL + 'power', _MODULE, "
-        "('n', 'x'), (_QUAL + 'power',))") in src
+    assert "_FN_INFO[_QUAL + 'power'] = rt.FnInfo(_MODULE, ('n', 'x'))" in src
     assert "_EXPORTS = {(_QUAL + 'power'): mk_power}" in src
 
 

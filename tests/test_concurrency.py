@@ -22,6 +22,7 @@ from repro.speccache import (
     RESID_KIND,
     SpecCache,
     encode_result,
+    residual_cache_key,
     validate_payload_bytes,
 )
 
@@ -136,7 +137,7 @@ def test_speccache_racing_writers_never_torn(tmp_path):
 
     root = str(tmp_path / "cache")
     cache = SpecCache(root)
-    key = cache.key(gp.fingerprint(), "power", {"n": 3}, SpecOptions())
+    key = residual_cache_key(gp.fingerprint(), "power", {"n": 3}, SpecOptions())
 
     writers = [
         multiprocessing.Process(
@@ -174,7 +175,7 @@ def test_speccache_writer_racing_reader_through_api(tmp_path):
 
     root = str(tmp_path / "cache")
     cache = SpecCache(root)
-    key = cache.key(gp.fingerprint(), "power", {"n": 4}, SpecOptions())
+    key = residual_cache_key(gp.fingerprint(), "power", {"n": 4}, SpecOptions())
 
     writer = multiprocessing.Process(
         target=_hammer_put, args=(root, key, payload, 200)

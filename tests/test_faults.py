@@ -368,6 +368,7 @@ def test_fsck_quarantines_every_damaged_object_kind(tmp_path):
     cache.put_bytes("c" * 64, CODE_KIND, marshal.dumps(compile("1", "<t>", "eval")))
     # Damaged objects, one per failure mode.
     cache.put_text("d" * 64, IFACE_KIND, '{"torn":')
+    cache.put_bytes("6" * 64, IFACE_KIND, b'{"format": 2, "module": "\xe9"}')
     cache.put_text("e" * 64, GENEXT_KIND, "def broken(:\n")
     cache.put_bytes("f" * 64, CODE_KIND, b"\x00garbage")
     cache.put_bytes("9" * 64, IFACE_KIND, b"")
@@ -386,6 +387,7 @@ def test_fsck_quarantines_every_damaged_object_kind(tmp_path):
     report = fsck_cache(cache)
     reasons = dict(report.quarantined)
     assert "corrupt interface" in reasons["d" * 64 + "." + IFACE_KIND]
+    assert "corrupt interface" in reasons["6" * 64 + "." + IFACE_KIND]
     assert "corrupt genext source" in reasons["e" * 64 + "." + GENEXT_KIND]
     assert "corrupt code object" in reasons["f" * 64 + "." + CODE_KIND]
     assert "empty object" in reasons["9" * 64 + "." + IFACE_KIND]

@@ -1,6 +1,6 @@
 """Definition-level early cutoff: def-level keys, byte identity of
 rebuilds against from-scratch builds, the InterfaceStore facade, and
-the def_digest_skew finding."""
+fsck on interfaces of a retired format."""
 
 import json
 import os
@@ -15,7 +15,6 @@ from repro.bt.interface import (
     scheme_digest,
 )
 from repro.bt.scheme import BTScheme
-from repro.check.ifaces import check_interfaces
 from repro.pipeline import ArtifactCache, build_dir, fsck_cache
 from repro.pipeline.cache import IFACE_KIND
 
@@ -292,7 +291,7 @@ def test_corpus_edit_residuals_agree_with_cold_build(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The interface store facade and digest skew.
+# The interface store facade and retired formats.
 # ---------------------------------------------------------------------------
 
 
@@ -308,64 +307,29 @@ def _power_schemes(tmp_path):
     return iface.schemes
 
 
-def test_store_detects_def_digest_skew(tmp_path):
-    schemes = _power_schemes(tmp_path)
-    payload = json.loads(interface_text("Power", schemes))
-    payload["digests"]["power"] = "0" * 64
-    skewed = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    store = InterfaceStore()
-    iface = store.load_text(skewed)
-    problems = store.verify(iface)
-    assert [p[0] for p in problems] == ["def_digest_skew"]
-    assert problems[0][1] == "power"
-    # The derived digest (not the stored one) is authoritative.
-    assert iface.digests["power"] == scheme_digest(schemes["power"])
-
-
-def test_check_reports_def_digest_skew(tmp_path):
-    src = tmp_path / "src"
-    src.mkdir()
-    _write(src, "Power", POWER)
-    iface_dir = str(tmp_path / "iface")
-    build_dir(
-        str(src),
-        BuildOptions(cache_dir=str(tmp_path / "cache"), iface_dir=iface_dir),
-    )
-    bti = os.path.join(iface_dir, "Power.bti")
-    with open(bti) as f:
-        payload = json.load(f)
-    payload["digests"]["power"] = "f" * 64
-    with open(bti, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
-    findings, checked = check_interfaces(str(src), iface_dir)
-    assert checked == 1
-    rules = [f.rule for f in findings]
-    assert "def_digest_skew" in rules
-    assert "corrupt-interface" not in rules, "skew is not corruption"
-    assert "non-canonical" not in rules, "skew is the distinct finding"
-
-
 def test_fsck_quarantines_digest_skew_distinctly(tmp_path):
+    """A cached interface as format 2 wrote it, with the per-definition
+    digest table format 3 dropped, is intact but retired: fsck reports
+    it under the distinct stale kind, not as corruption."""
     _write(tmp_path, "Power", POWER)
     cache_dir = str(tmp_path / "cache")
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
     cache = ArtifactCache(cache_dir)
     key = result.keys["Power"]
-    payload = json.loads(cache.get_text(key, IFACE_KIND))
-    payload["digests"]["power"] = "f" * 64
+    text = cache.get_text(key, IFACE_KIND)
+    payload = json.loads(text)
+    payload["format"] = 2
+    payload["digests"] = InterfaceStore().load_text(text).digests
     cache.put_text(
         key, IFACE_KIND, json.dumps(payload, indent=1, sort_keys=True) + "\n"
     )
     report = fsck_cache(cache)
-    # Intact but self-inconsistent: the distinct *stale* finding kind,
-    # not generic corruption (it still moves to quarantine/ and still
-    # fails the scan).
+    # It still moves to quarantine/ and still fails the scan.
     assert not report.quarantined
     assert len(report.stale) == 1
     name, reason = report.stale[0]
     assert name == "%s.%s" % (key, IFACE_KIND)
-    assert reason.startswith("iface.def_digest_skew")
+    assert reason.startswith("retired interface format 2")
     assert not report.ok
 
 

@@ -83,10 +83,10 @@ def test_truncated_interface_rejected(tmp_path):
     [
         "[1, 2, 3]",  # valid JSON, wrong top-level shape
         '"just a string"',
-        '{"format": 2, "schemes": {}}',  # module missing
-        '{"format": 2, "module": "X"}',  # schemes missing
-        '{"format": 2, "module": "X", "schemes": []}',  # schemes wrong type
-        '{"format": 2, "module": "X", "schemes": {"f": {"args": "?"}}}',
+        '{"format": 3, "schemes": {}}',  # module missing
+        '{"format": 3, "module": "X"}',  # schemes missing
+        '{"format": 3, "module": "X", "schemes": []}',  # schemes wrong type
+        '{"format": 3, "module": "X", "schemes": {"f": {"args": "?"}}}',
     ],
 )
 def test_structurally_wrong_interface_rejected(tmp_path, payload):
@@ -98,7 +98,7 @@ def test_structurally_wrong_interface_rejected(tmp_path, payload):
 
 def test_wrong_format_version_rejected(tmp_path):
     path = str(tmp_path / "Bad.bti")
-    for version in (999, 1):
+    for version in (999, 1, 2):
         (tmp_path / "Bad.bti").write_text(
             '{"format": %d, "module": "X", "schemes": {}}' % version
         )
@@ -152,14 +152,15 @@ def test_interface_serialisation_is_canonical(tmp_path):
 def test_module_key_v2_is_pinned():
     """A module hashes the same bytes for as long as ``CACHE_EPOCH``
     stands, so build artifacts cached by earlier releases stay warm.
-    Pinned at epoch 4: the bump from 3 came with one generating
-    primitive per operator and skeleton-free base coercions in the
-    generated code, which changed every genext source."""
+    Pinned at epoch 5 and interface format 3: the bump came with
+    interfaces that no longer carry a digest table and generating
+    extensions whose ``Signature`` and ``FnInfo`` tables lost their
+    unread fields, which changed every interface and genext source."""
     key = module_key_v2(
         APP.encode("utf-8"), ("Lib",), [("power", "ab" * 32)], {"cube"}
     )
     assert key == (
-        "2453021794917e244fe59272f56ee3ee840cb64426a29129748256118d3233af"
+        "eb4d12ed0833e963f6e1f7cd61c4f36a6be3e130069d685e32bdfeb694d79353"
     )
 
 

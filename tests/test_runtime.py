@@ -10,8 +10,8 @@ from repro.modsys.graph import ModuleGraph
 
 def state(strategy="bfs"):
     fn_info = {
-        "f": rt.FnInfo("f", "A", ("a", "b"), ("f",)),
-        "g": rt.FnInfo("g", "B", ("x",), ("g",)),
+        "f": rt.FnInfo("A", ("a", "b")),
+        "g": rt.FnInfo("B", ("x",)),
     }
     graph = ModuleGraph({"A": (), "B": ("A",)})
     return rt.SpecState(fn_info, graph, strategy=strategy)

@@ -8,7 +8,7 @@ from repro.modsys.graph import ModuleGraph
 
 
 def state():
-    fn_info = {"f": rt.FnInfo("f", "A", ("a",), ("f",))}
+    fn_info = {"f": rt.FnInfo("A", ("a",))}
     return rt.SpecState(fn_info, ModuleGraph({"A": ()}))
 
 
@@ -180,8 +180,8 @@ def test_ground_and_partially_static_keys_never_meet():
 
 def test_placement_skips_ground_tables_but_not_closures():
     fn_info = {
-        "f": rt.FnInfo("f", "A", ("a",), ("f",)),
-        "g": rt.FnInfo("g", "B", ("x",), ("g",)),
+        "f": rt.FnInfo("A", ("a",)),
+        "g": rt.FnInfo("B", ("x",)),
     }
     st = rt.SpecState(fn_info, ModuleGraph({"A": (), "B": ("A",)}))
     table = rt.SList(tuple(rt.SBase(i) for i in range(8)))

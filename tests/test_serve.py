@@ -18,6 +18,7 @@ import time
 import pytest
 
 import repro
+from repro.api import SpecOptions
 from repro.obs.schema import validate_metrics, validate_trace
 from repro.serve import (
     ServeClient,
@@ -329,6 +330,36 @@ def test_source_change_triggers_one_relink_never_stale(moddir):
         server.close()
 
 
+def test_relinks_keep_the_worker_program_memo_bounded(moddir, capsys):
+    """Each watched-source edit links a new program; the worker memo
+    keeps only the newest few, and every answer is the one-shot CLI's."""
+    from repro.cli import main
+    from repro.genext.batch import _WORKER_PROGRAMS
+
+    server = _server(moddir)
+    try:
+        edits = _WORKER_PROGRAMS.capacity + 2
+        for k in range(edits):
+            with open(os.path.join(moddir, "Power.mod"), "w") as f:
+                f.write(
+                    "module Power where\n\n"
+                    "power n x = if n == 1 then x + %d "
+                    "else x * power (n - 1) x\n" % k
+                )
+            answer = _specialise(server, "power", {"n": 3})
+            assert answer["ok"]
+            assert main(["specialise", moddir, "power", "n=3", "--json"]) == 0
+            oneshot = json.loads(capsys.readouterr().out)["report"]
+            assert answer["result"]["program"] == oneshot["program"]
+            assert len(_WORKER_PROGRAMS) <= _WORKER_PROGRAMS.capacity
+            state = server.state
+            assert _WORKER_PROGRAMS.get(state.fingerprint) is state.gp
+        counters = server.obs.metrics.snapshot()["counters"]
+        assert counters["serve.relinks"] == edits
+    finally:
+        server.close()
+
+
 def test_watch_source_disabled_keeps_the_loaded_program(moddir):
     server = _server(moddir, watch_source=False)
     try:
@@ -530,6 +561,10 @@ def test_config_validation(moddir):
         ServeConfig(dir=moddir, max_inflight=0)
     with pytest.raises(ValueError):
         ServeConfig(dir=moddir, queue=-1)
+    # The daemon analyses with the default strategy only: it would serve
+    # lub residuals for any other.
+    with pytest.raises(ValueError, match="unfolding"):
+        ServeConfig(dir=moddir, options=SpecOptions(unfolding="size-change"))
     config = ServeConfig(dir=moddir, jobs=3)
     assert config.max_inflight == 3 and config.queue == 12
     assert config.socket_path.endswith(".mspec-serve.sock")

@@ -17,6 +17,7 @@ import repro
 from repro.api import SpecOptions
 from repro.backend import generate
 from repro.backend.tiers import clear_tiers
+from repro.bench.generators import guarded_lookup_source
 from repro.obs import Obs
 from repro.pipeline.cache import RESID_KIND, ArtifactCache
 from repro.pipeline.faults import fsck_cache
@@ -103,17 +104,45 @@ def test_key_ignores_execution_knobs_but_not_semantics():
 def test_default_strategy_key_is_pinned():
     """A default-strategy request hashes the same bytes for as long as
     ``CACHE_EPOCH`` stands, so residuals cached by earlier releases stay
-    warm; size-change unfolding keys apart from it.  Pinned at epoch 4:
-    the bump from 3 came with one generating primitive per operator and
-    skeleton-free base coercions in the generated code."""
+    warm.  Pinned at epoch 5: the bump came with smaller interfaces and
+    generating-extension tables, and with ``unfolding`` leaving the key.
+    The unfolding strategy acts through the analysis, so it already
+    changes the program fingerprint; for one fingerprint the two
+    strategies name the same request."""
     fp = "0" * 64
     base = residual_cache_key(fp, "power", {"n": 3}, SpecOptions())
     assert base == (
-        "d80db5d996445506b31d22c6983a594884675160bfbbef391807d837fc23aa73"
+        "cd620997c0470eeee2c69e1fc184397c429a8b427b3c87fdc072695fa43b6491"
     )
-    assert base != residual_cache_key(
+    assert base == residual_cache_key(
         fp, "power", {"n": 3}, SpecOptions(unfolding="size-change")
     )
+
+
+def test_unfolding_strategies_sharing_a_cache_never_share_a_residual(
+    tmp_path,
+):
+    """Each strategy compiles to its own program, so its fingerprint
+    keeps the residuals apart: the size-change request misses although
+    the lub residual for the same goal and static arguments is cached."""
+    static = {"xs": (10, 20, 30)}
+    cache_dir = str(tmp_path / "cache")
+    texts = []
+    for unfolding in ("lub", "size-change"):
+        options = SpecOptions(unfolding=unfolding)
+        gp = repro.compile_genexts(guarded_lookup_source(), options)
+        cold = repro.specialise(gp, "lookup", static, options)
+        obs = Obs()
+        cached = repro.specialise(
+            gp, "lookup", static, options.replace(cache_dir=cache_dir), obs=obs
+        )
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["speccache.misses"] == 1
+        assert "speccache.hits" not in counters
+        text = repro.pretty_program(cached.program)
+        assert text == repro.pretty_program(cold.program)
+        texts.append(text)
+    assert texts[0] != texts[1], "the strategies must disagree here"
 
 
 def test_fingerprint_changes_when_a_module_source_changes():
@@ -320,7 +349,7 @@ def test_speccache_is_shareable_across_instances(tmp_path):
     cache_a = SpecCache(str(tmp_path))
     cache_b = SpecCache(str(tmp_path))
     options = SpecOptions()
-    key = cache_a.key(gp.fingerprint(), "power", {"n": 3}, options)
+    key = residual_cache_key(gp.fingerprint(), "power", {"n": 3}, options)
     result = repro.specialise(gp, "power", {"n": 3})
     cache_a.put(key, encode_result(result))
     assert cache_b.get(key) is not None
