@@ -48,14 +48,19 @@ WORKLOADS = [
 ]
 
 
-def _best_of(fn, repeat=9):
-    best = float("inf")
-    out = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def _best_of_rounds(fns, rounds=9):
+    """``[(best seconds, last result), ...]``, one pair per function.
+    Each round times one call of every function in turn, so a drift in
+    machine speed lands on all the contenders alike instead of on
+    whichever one was being sampled when it happened."""
+    best = [float("inf")] * len(fns)
+    out = [None] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            out[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, out))
 
 
 def _spec_phase_only(provider, goal, static):
@@ -91,14 +96,16 @@ def _rows():
     for name, source, goal, static in WORKLOADS:
         gp = repro.compile_genexts(source)
         mp = MixProgram.from_source(source)
-        t_genext, st1 = _best_of(lambda: _spec_phase_only(gp, goal, static))
-        t_mix_spec, st2 = _best_of(lambda: _spec_phase_only(mp, goal, static))
-        t_mix_full, _ = _best_of(
-            lambda: engine_specialise(
-                MixProgram.from_source(source), goal, static
-            ),
-            repeat=3,
+        timed = _best_of_rounds(
+            [
+                lambda: _spec_phase_only(gp, goal, static),
+                lambda: _spec_phase_only(mp, goal, static),
+                lambda: engine_specialise(
+                    MixProgram.from_source(source), goal, static
+                ),
+            ]
         )
+        (t_genext, st1), (t_mix_spec, st2), (t_mix_full, _) = timed
         r1 = engine_specialise(gp, goal, static)
         r2 = engine_specialise(mp, goal, static)
         assert r1.program == r2.program

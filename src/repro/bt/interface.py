@@ -265,18 +265,22 @@ class InterfaceStore:
         return self.load_text(text, origin=path)
 
 
-def retired_format(text):
-    """The ``format`` of an interface text an earlier version wrote (a
-    JSON object whose integer format is below :data:`FORMAT_VERSION`),
-    else ``None``.  Such a text is drift, not damage: this version
-    reads no format but its own."""
+def retired_reason(text):
+    """Why an interface text an earlier version wrote (a JSON object
+    whose integer format is below :data:`FORMAT_VERSION`) cannot be
+    read, else ``None``.  Such a text is drift, not damage: this
+    version reads no format but its own, and ``mspec fsck`` and
+    ``mspec check`` report it as stale with this reason."""
     try:
         payload = json.loads(text)
     except ValueError:
         return None
     format = payload.get("format") if isinstance(payload, dict) else None
     if type(format) is int and 0 < format < FORMAT_VERSION:
-        return format
+        return "retired interface format %d (this version writes %d)" % (
+            format,
+            FORMAT_VERSION,
+        )
     return None
 
 

@@ -15,7 +15,10 @@ published before an edit to its source).  This pass can:
   (missing, extra, or differing schemes are each separate findings);
 * checks the committed file is the canonical serialisation of its own
   schemes (a non-canonical file breaks the byte-equality-is-semantic-
-  equality property).
+  equality property);
+* tells drift from damage as ``mspec fsck`` does: a file an earlier
+  version published in a retired format is ``stale-interface``, bytes
+  that are not an interface at all are ``corrupt-interface``.
 """
 
 import os
@@ -26,6 +29,7 @@ from repro.bt.interface import (
     InterfaceError,
     InterfaceStore,
     interface_text,
+    retired_reason,
 )
 from repro.check.report import SEVERITY_WARNING, Finding
 from repro.lang.errors import LangError
@@ -106,7 +110,17 @@ def check_interfaces(src_dir, iface_dir=None, force_residual=frozenset()):
         try:
             committed_iface = store.load(path)
         except InterfaceError as exc:
-            findings.append(_finding("corrupt-interface", where, str(exc)))
+            # A file an earlier version published is drift, as in fsck:
+            # the next build republishes it.
+            try:
+                with open(path, encoding="utf-8") as f:
+                    stale = retired_reason(f.read())
+            except (OSError, UnicodeDecodeError):
+                stale = None
+            if stale is None:
+                findings.append(_finding("corrupt-interface", where, str(exc)))
+            else:
+                findings.append(_finding("stale-interface", where, stale))
             continue
         committed_name = committed_iface.module
         committed = committed_iface.schemes

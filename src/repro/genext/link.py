@@ -199,7 +199,6 @@ def load_genext_dir(directory):
     table (mapping to defining modules is only needed for placement, and
     that arrives through ``_FN_INFO``), so the original sources are not
     required."""
-    loaded = []
     sources = {}
     for entry in sorted(os.listdir(directory)):
         if not entry.endswith(".genext.py"):
@@ -207,27 +206,23 @@ def load_genext_dir(directory):
         name = entry[: -len(".genext.py")]
         with open(os.path.join(directory, entry)) as f:
             sources[name] = f.read()
-    # First pass: execute everything to get _FN_INFO for import recovery.
-    namespaces = {}
-    for name, source in sources.items():
-        code = compile(source, "%s.genext.py" % name, "exec")
-        ns = {"__name__": "genext_%s" % name}
-        exec(code, ns)
-        namespaces[name] = ns
+    # First pass: execute everything to get _EXPORTS for import recovery.
+    loaded = [
+        load_genext(GenextModule(name, (), source), "%s.genext.py" % name)
+        for name, source in sources.items()
+    ]
     module_of = {}
-    for name, ns in namespaces.items():
-        for fname in ns["_EXPORTS"]:
-            module_of[fname] = name
-    modules = []
-    for name, ns in namespaces.items():
-        imports = sorted(
-            {
-                module_of[f]
-                for f in ns.get("_IMPORTED", ())
-                if f in module_of and module_of[f] != name
-            }
+    for m in loaded:
+        for fname in m.exports:
+            module_of[fname] = m.name
+    for m in loaded:
+        m.imports = tuple(
+            sorted(
+                {
+                    module_of[f]
+                    for f in m.namespace.get("_IMPORTED", ())
+                    if f in module_of and module_of[f] != m.name
+                }
+            )
         )
-        modules.append(
-            LoadedModule(name, tuple(imports), ns, source=sources[name])
-        )
-    return GenextProgram(modules)
+    return GenextProgram(loaded)

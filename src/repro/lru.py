@@ -1,12 +1,13 @@
 """A bounded, thread-safe LRU memo.
 
 The one pattern behind the process-wide memos that make repeated work
-cost a probe: the build's source scan, interface parsing,
-referenced-name sets and linked modules, and the residual-cache
-decode.  Each memo has a fixed capacity (least recently used entries
-are evicted first) and one lock, held only for dictionary operations —
-the expensive work a memo saves always runs outside it, so two threads
-may both compute a missing value; the second ``put`` simply wins.
+cost a probe: the build's source scan, interface parsing, stat-checked
+reads and linked modules, the residual-cache decode, the tier ladder's
+compiled callables and the pool workers' linked programs.  Each memo
+has a fixed capacity (least recently used entries are evicted first)
+and one lock, held only for dictionary operations — the expensive work
+a memo saves always runs outside it, so two threads may both compute a
+missing value; the second ``put`` simply wins.
 """
 
 import threading

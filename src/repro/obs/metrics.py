@@ -39,7 +39,7 @@ METRICS_SCHEMA = "repro.obs.metrics/v1"
 
 
 class Counter:
-    """A monotonically increasing count (resettable only via ``set``)."""
+    """A monotonically increasing count."""
 
     __slots__ = ("name", "value", "_registry", "_lock")
 
@@ -53,13 +53,6 @@ class Counter:
         with self._lock:
             self.value += n
             value = self.value
-        if self._registry is not None:
-            self._registry._notify(self.name, "counter", value)
-        return value
-
-    def set(self, value):
-        with self._lock:
-            self.value = value
         if self._registry is not None:
             self._registry._notify(self.name, "counter", value)
         return value

@@ -87,7 +87,7 @@ from repro.pipeline.faults import (
     ModuleFailure,
     WaveSupervisor,
 )
-from repro.pipeline.incremental import used_import_digests
+from repro.pipeline.incremental import referenced_names, used_import_digests
 from repro.pipeline.report import ModuleRebuild, RebuildReport
 from repro.pipeline.stats import PipelineStats
 
@@ -166,13 +166,16 @@ def clear_link_memo():
 
 @dataclass(frozen=True)
 class SourceModule:
-    """One scanned source file (plus its parsed, unresolved module)."""
+    """One scanned source file (plus its parsed, unresolved module and
+    the names it references but does not define, computed once per
+    parse: see :func:`~repro.pipeline.incremental.referenced_names`)."""
 
     name: str
     path: str
     text: str
     imports: Tuple[str, ...]
     module: object = field(default=None, compare=False, repr=False)
+    refs: frozenset = field(default=frozenset(), compare=False, repr=False)
 
 
 # The dirty-cone walk.  The last successful build leaves one record per
@@ -186,8 +189,9 @@ class SourceModule:
 # are skipped.  The artifacts are still fetched (through the
 # stat-checked reads, so usually without a read) and must equal the
 # record's.  The schedule is reused while no import list changed.  One
-# map, the last build's, whatever its cache root; the cache stage does
-# not consult records of another root or ``force_residual``.
+# map, the last build's, whatever its tree and cache root; the cache
+# stage, and the cut-off report, consult it only for a build of the same
+# source directory into the same root with the same ``force_residual``.
 _LAST_BUILD = None  # the last successful build's _LastBuild
 
 
@@ -202,6 +206,7 @@ class _ModuleRecord:
 
 @dataclass(frozen=True)
 class _LastBuild:
+    src_dir: str
     root: str
     force_residual: frozenset
     records: Dict[str, _ModuleRecord]
@@ -460,6 +465,7 @@ class BuildEngine:
                 text=text,
                 imports=tuple(module.imports),
                 module=module,
+                refs=referenced_names(module),
             )
         if skipped_reads and self.cache.metrics is not None:
             self.cache.metrics.counter("cache.reads_skipped").inc(skipped_reads)
@@ -554,45 +560,49 @@ class BuildEngine:
         records = {}
         if (
             last is not None
+            and last.src_dir == self.src_dir
             and last.root == self.cache.root
             and last.force_residual == self.force_residual
         ):
             records = last.records
 
-        store = InterfaceStore()
-        prev_refs = self.cache.read_refs()  # module -> last build's key
+        store = InterfaceStore(self.iface_dir)
         changed = set()  # modules whose interface changed vs. last build
         moved = set()  # modules whose interface differs from their record
         rebuilds = {}  # name -> ModuleRebuild
         built = {}  # name -> _ModuleRecord, this build
 
-        def prev_iface_digests(name):
-            """Per-def digests of the module's previous build, if any."""
-            prev_key = prev_refs.get(name)
-            if prev_key is None:
-                return None
-            text = self.cache.get_text(prev_key, IFACE_KIND)
-            if text is None:
+        def previous_interface(name):
+            """The module's interface in this tree's previous build: its
+            record's, else the one that build published to ``iface_dir``
+            (read here, before this build's publish stage replaces it),
+            else ``None``.  The cache is shared between trees, so it
+            cannot say which of its objects was this tree's."""
+            record = records.get(name)
+            if record is not None:
+                return record.iface
+            if self.iface_dir is None:
                 return None
             try:
-                return store.load_text(text, origin="<previous>").digests
+                prev = store.load(store.path(name))
             except InterfaceError:
                 return None
+            return prev if prev.module == name else None
 
         def note_interface(name, iface):
             """Track whether the module's interface moved this build:
-            against the last build's refs (a hit on a module with a
-            changed dep is a module def-level keying specifically saved;
+            against its previous build (a hit on a module with a changed
+            dep is a module def-level keying specifically saved;
             module-level keys would miss) and against its record (an
-            importer may reuse its own record only if none moved)."""
-            prev_key = prev_refs.get(name)
-            if prev_key is not None and prev_key != keys[name]:
-                prev_text = self.cache.get_text(prev_key, IFACE_KIND)
-                if prev_text is not None and prev_text != iface.text:
-                    changed.add(name)
+            importer may reuse its own record only if none moved).
+            Returns the previous interface."""
+            prev = previous_interface(name)
+            if prev is not None and prev.text != iface.text:
+                changed.add(name)
             record = records.get(name)
             if record is None or record.iface.text != iface.text:
                 moved.add(name)
+            return prev
 
         ifaces = {}  # name -> parsed Interface, this build
         genexts = {}
@@ -648,7 +658,7 @@ class BuildEngine:
                 key = module_key_v2(
                     src.text.encode("utf-8"),
                     src.imports,
-                    used_import_digests(src.module, digests),
+                    used_import_digests(src.refs, digests),
                     self.force_residual,
                 )
             keys[name] = key
@@ -743,15 +753,14 @@ class BuildEngine:
                     )
                     ifaces[name] = iface
                     genexts[name] = GenextModule(name, src.imports, genext_source)
-                    note_interface(name, iface)
+                    prev = note_interface(name, iface)
                     stats.note_analysed(name)
-                    prev_digests = prev_iface_digests(name)
                     re_derived = tuple(src.module.def_names())
                     cut = tuple(
                         n
                         for n in re_derived
-                        if prev_digests is not None
-                        and prev_digests.get(n) == iface.digests.get(n)
+                        if prev is not None
+                        and prev.digests.get(n) == iface.digests.get(n)
                     )
                     stats.note_defs(re_derived=len(re_derived), cut_off=len(cut))
                     rebuilds[name] = ModuleRebuild(
@@ -822,18 +831,14 @@ class BuildEngine:
         with _stage(stats, tracer, "publish"):
             for name in order:
                 self._publish(name, ifaces[name].text, genexts[name].source)
-        if order:
-            # Advance the refs so the *next* build can find this one's
-            # interfaces (for the cut-off report) even after an edit
-            # changes every key.  A no-op rebuild moves no key and leaves
-            # the file untouched.
-            refs = self.cache.read_refs()
-            merged = dict(refs)
-            merged.update({name: keys[name] for name in order})
-            if merged != refs:
-                self.cache.write_refs(merged)
         _LAST_BUILD = _LastBuild(
-            self.cache.root, self.force_residual, built, schedule, graph, waves
+            self.src_dir,
+            self.cache.root,
+            self.force_residual,
+            built,
+            schedule,
+            graph,
+            waves,
         )
 
         for name in sorted(failures):

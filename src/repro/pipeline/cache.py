@@ -7,13 +7,16 @@ short ``kind`` tag:
 
     <root>/objects/<key[:2]>/<key>.<kind>
 
-Keys are immutable — the same key always denotes the same bytes — so a
-hit needs no validation beyond reading the file, a cache can be shared
-between checkouts, and eviction is safe at any time (a miss merely
-recomputes).  All writes go through a temp file in the final directory
-followed by ``os.replace``, so parallel workers racing to publish the
-same artifact can never expose a torn file; the losing writer simply
-overwrites with identical bytes.
+Keys are immutable — the same key always denotes the same bytes — and
+the store keeps no mutable state beside them: no file maps a module to
+its last key (a tree's previous build is the build engine's business;
+a ``refs.json`` an older version left is never read).  So a hit needs
+no validation beyond reading the file, a cache can be shared between
+checkouts, and eviction is safe at any time (a miss merely recomputes).
+All writes go through a temp file in the final directory followed by
+``os.replace``, so parallel workers racing to publish the same artifact
+can never expose a torn file; the losing writer simply overwrites with
+identical bytes.
 
 Integrity is checked lazily on read (a corrupt entry is a miss) and
 eagerly by ``mspec fsck`` (:func:`repro.pipeline.faults.fsck_cache`),
@@ -24,7 +27,6 @@ through :func:`read_text`, which does not read a file again while its
 stat stamp is the one recorded when its bytes were last read.
 """
 
-import json
 import os
 import sys
 import tempfile
@@ -51,7 +53,6 @@ RESID_PY_KIND = "resid.py"
 
 OBJECTS_DIRNAME = "objects"
 QUARANTINE_DIRNAME = "quarantine"
-REFS_FILENAME = "refs.json"
 
 TMP_PREFIX = ".tmp."
 TMP_SUFFIX = "~"
@@ -188,47 +189,6 @@ class ArtifactCache:
 
     def put_text(self, key, kind, text):
         return self.put_bytes(key, kind, text.encode("utf-8"))
-
-    # -- refs: the one mutable file in the store -------------------------
-
-    def refs_path(self):
-        return os.path.join(self.root, REFS_FILENAME)
-
-    def read_refs(self):
-        """The ``module name -> last successful build key`` map.
-
-        Refs are the store's only mutable state (git-refs-style): they
-        let a rebuild find the *previous* build's interfaces after an
-        edit changed every key, to report where invalidation was cut
-        off.  A missing or corrupt refs file is an empty map: the next
-        build then reports no cut-off definitions."""
-        try:
-            with open(self.refs_path()) as f:
-                refs = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if not isinstance(refs, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in refs.items()
-        ):
-            return {}
-        return refs
-
-    def write_refs(self, refs):
-        """Atomically replace the refs map."""
-        os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=TMP_PREFIX, suffix=TMP_SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(refs, f, indent=1, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, self.refs_path())
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     def objects(self):
         """Yield ``(dirpath, filename)`` for every file under

@@ -51,12 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bt.interface import (
-    FORMAT_VERSION,
-    InterfaceError,
-    InterfaceStore,
-    retired_format,
-)
+from repro.bt.interface import InterfaceError, InterfaceStore, retired_reason
 from repro.pipeline.pool import WorkerPool
 from repro.pipeline.cache import (
     CODE_KIND,
@@ -561,16 +556,12 @@ def _validate_object(kind, data):
         except UnicodeDecodeError as exc:
             return ("corrupt", "corrupt interface: %s" % exc)
         except InterfaceError as exc:
-            retired = retired_format(text)
-            if retired is None:
+            reason = retired_reason(text)
+            if reason is None:
                 return ("corrupt", "corrupt interface: %s" % exc)
             # Intact, but written by an earlier version: drift, not
             # damage (a fresh build keys its artifacts apart from it).
-            return (
-                "stale",
-                "retired interface format %d (this version writes %d)"
-                % (retired, FORMAT_VERSION),
-            )
+            return ("stale", reason)
         return None
     if kind == GENEXT_KIND:
         try:

@@ -13,9 +13,9 @@ is a *view*: every counter and timer lives in a
 with the fault supervisor, the cache accounting, and — through
 ``mspec build --metrics`` — the exported snapshot.  The scalar
 attributes (``retries``, ``timeouts``, ``crashes``, ``degradations``,
-``jobs``, ``modules``) are properties over registry metrics, so the
-legacy reading *and writing* spellings (``stats.retries += 1``) keep
-working and can never disagree with the snapshot.
+``jobs``, ``modules``) are properties over registry metrics, so they
+can never disagree with the snapshot.  The fault counters are
+read-only here: the supervisor counts through the registry.
 
 Metric names (see ``docs/observability.md`` for the full glossary):
 
@@ -56,10 +56,7 @@ def _counter_property(metric, doc):
     def _get(self):
         return self.metrics.counter(metric).value
 
-    def _set(self, value):
-        self.metrics.counter(metric).set(value)
-
-    return property(_get, _set, doc=doc)
+    return property(_get, doc=doc)
 
 
 def _gauge_property(metric, doc):

@@ -235,8 +235,8 @@ def _fresh_tier_state():
 @pytest.fixture(autouse=True)
 def _fresh_build_memos():
     """The build's process-wide memos (source scan, interface parse,
-    referenced names, linked modules, stat-checked reads, the last
-    build's module records) start empty in every test."""
+    linked modules, stat-checked reads, the last build's module records)
+    start empty in every test."""
     from repro.bt.interface import clear_interface_memo
     from repro.pipeline.build import (
         clear_build_records,
@@ -244,11 +244,9 @@ def _fresh_build_memos():
         clear_scan_memo,
     )
     from repro.pipeline.cache import clear_read_memo
-    from repro.pipeline.incremental import clear_referenced_names_memo
 
     clear_scan_memo()
     clear_interface_memo()
-    clear_referenced_names_memo()
     clear_link_memo()
     clear_read_memo()
     clear_build_records()

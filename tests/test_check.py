@@ -23,6 +23,7 @@ from repro.anno.ast import ACoerce, AExpr, walk_aexpr
 from repro.api import BuildOptions
 from repro.bt.analysis import analyse_program
 from repro.bt.bt import D, S
+from repro.bt.interface import FORMAT_VERSION
 from repro.check import EXIT_CHECK_FAILED, run_check
 from repro.check.diff import DIFF_FUEL, minimise_case, run_case
 from repro.check.driver import case_from_bundle, replay
@@ -391,6 +392,24 @@ class TestInterfaceFsck:
         corrupt = [f for f in findings if f.rule == "corrupt-interface"]
         assert [f.where for f in corrupt] == ["Main.bti"]
         assert "Main.bti" in corrupt[0].message
+
+    def test_retired_format_interface_is_stale(self, analysed_dir):
+        """An interface an earlier version published is drift, with
+        fsck's reason, not damage; it is still an error."""
+        path = os.path.join(analysed_dir, "Power.bti")
+        with open(path) as f:
+            doc = json.load(f)
+        doc["format"] = 2
+        with open(path, "w") as f:
+            json.dump(doc, f, sort_keys=True, indent=1)
+        findings, _ = check_interfaces(analysed_dir)
+        assert [(f.rule, f.where, f.severity) for f in findings] == [
+            ("stale-interface", "Power.bti", "error")
+        ]
+        assert findings[0].message == (
+            "retired interface format 2 (this version writes %d)"
+            % FORMAT_VERSION
+        )
 
 
 # ---------------------------------------------------------------------------

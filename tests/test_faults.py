@@ -538,11 +538,15 @@ def test_cli_fsck(tmp_path, capsys):
     assert main(["fsck", str(src)]) == 0
     assert "0 quarantined" in capsys.readouterr().out
 
-    # Corrupt the cached interface behind the cache's back; the build
-    # key is recorded in the cache's refs.
+    # Corrupt the cached interface behind the cache's back: the one
+    # interface object is Power's.
     cache = ArtifactCache(str(src / ".mspec-cache"))
-    key = cache.read_refs()["Power"]
-    with open(cache.path(key, IFACE_KIND), "wb") as f:
+    (path,) = [
+        os.path.join(dirpath, filename)
+        for dirpath, filename in cache.objects()
+        if filename.endswith("." + IFACE_KIND)
+    ]
+    with open(path, "wb") as f:
         f.write(b"\x00torn write")
     rc = main(["fsck", str(src)])
     assert rc == faults.EXIT_CORRUPT

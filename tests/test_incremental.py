@@ -5,6 +5,7 @@ fsck on interfaces of a retired format."""
 import json
 import os
 import glob
+import shutil
 
 import pytest
 
@@ -333,34 +334,89 @@ def test_fsck_quarantines_digest_skew_distinctly(tmp_path):
     assert not report.ok
 
 
-def test_build_publishes_no_defs_record_and_advances_refs(tmp_path):
+def test_build_leaves_only_objects_under_the_cache_root(tmp_path):
+    """The store holds immutable objects and nothing else: no
+    per-definition record and no module -> key map, after a cold build
+    or an edit."""
     sources = _chain(2)
     _write_all(tmp_path, sources)
-    result = build_dir(
-        str(tmp_path), BuildOptions(cache_dir=str(tmp_path / "cache"))
-    )
+    cache_dir = str(tmp_path / "cache")
+    result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
     objects = [filename for _, filename in result.cache.objects()]
     assert objects
     assert not [f for f in objects if f.endswith(".defs.json")]
-    refs = result.cache.read_refs()
-    assert refs == result.keys
+    assert os.listdir(cache_dir) == ["objects"]
+    _write(tmp_path, "M0", sources["M0"].replace("x * 2", "x * 3"))
+    result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
+    assert result.analysed == ["M0"]
+    assert os.listdir(cache_dir) == ["objects"]
 
 
-def test_isomorphic_scheme_reuse_survives_missing_refs(tmp_path):
-    """Deleting refs.json only loses the cut-off report: the rebuild
-    has no previous interface to compare against."""
+def test_isomorphic_scheme_reuse_survives_a_fresh_process(tmp_path):
+    """A process with no record of the tree's previous build still keeps
+    every importer cached; only the cut-off report needs that build, and
+    it finds it in the interfaces the build published to ``iface_dir``
+    (every CLI build publishes them)."""
+    from repro.pipeline.build import clear_build_records
+
     sources = _chain(3)
     _write_all(tmp_path, sources)
     cache_dir = str(tmp_path / "cache")
     build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
-    os.unlink(ArtifactCache(cache_dir).refs_path())
+    clear_build_records()
     _write(tmp_path, "M0", sources["M0"].replace("x * 2", "x * 3"))
     result = build_dir(str(tmp_path), BuildOptions(cache_dir=cache_dir))
     assert result.analysed == ["M0"]
     assert result.cached == ["M1", "M2"]
     (entry,) = result.rebuild.by_action("analysed")
-    assert entry.cut_off == (), "no refs: nothing to compare against"
+    assert entry.cut_off == (), "no record, no published interface"
     assert result.report.ok
+
+    options = BuildOptions(cache_dir=cache_dir, iface_dir=str(tmp_path))
+    build_dir(str(tmp_path), options)
+    clear_build_records()
+    _write(tmp_path, "M0", "-- a comment\n" + sources["M0"])
+    result = build_dir(str(tmp_path), options)
+    assert result.analysed == ["M0"]
+    assert result.cached == ["M1", "M2"]
+    (entry,) = result.rebuild.by_action("analysed")
+    assert entry.cut_off == entry.re_derived == ("m0_f0", "m0_f1")
+
+    # A published file that names another module is no previous build.
+    shutil.copyfile(str(tmp_path / "M1.bti"), str(tmp_path / "M0.bti"))
+    clear_build_records()
+    _write(tmp_path, "M0", sources["M0"].replace("x * 2", "x * 5"))
+    result = build_dir(str(tmp_path), options)
+    assert result.cached == ["M1", "M2"]
+    (entry,) = result.rebuild.by_action("analysed")
+    assert entry.cut_off == ()
+    assert result.stats.as_dict()["modules_cutoff_skipped"] == 0
+
+
+def test_trees_sharing_a_cache_report_cut_off_against_their_own_builds(
+    tmp_path,
+):
+    """Two trees hold a different ``Power`` and share one cache.  Each
+    build reports its cut-off against its own tree's previous build,
+    never against the other tree's: the process's last build records
+    are B's when A is edited, so A's report comes from the interfaces A
+    published."""
+    square = "square x = x * x\n"
+    tree_a, tree_b = tmp_path / "a", tmp_path / "b"
+    tree_a.mkdir(), tree_b.mkdir()
+    _write(tree_a, "Power", POWER + square)
+    _write(tree_b, "Power", POWER + square.replace("x * x", "x"))
+    cache_dir = str(tmp_path / "cache")
+
+    def build(tree):
+        options = BuildOptions(cache_dir=cache_dir, iface_dir=str(tree))
+        (entry,) = build_dir(str(tree), options).rebuild.by_action("analysed")
+        return len(entry.re_derived), len(entry.cut_off)
+
+    assert build(tree_a) == (2, 0)
+    assert build(tree_b) == (2, 0), "B has no previous build of its own"
+    _write(tree_a, "Power", "-- a comment\n" + POWER + square)
+    assert build(tree_a) == (2, 2), "compared with A's build, not B's"
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +507,12 @@ def test_corrupt_interface_names_its_origin_on_every_call():
 
 def test_memo_clear_helpers_force_a_fresh_parse(tmp_path, monkeypatch):
     from repro.bt.interface import clear_interface_memo
-    from repro.pipeline import BuildEngine, build, incremental
+    from repro.pipeline import BuildEngine, build
 
     _write(tmp_path, "Power", POWER)
     engine = BuildEngine(str(tmp_path))
     first = engine.scan()[0]["Power"].module
     assert engine.scan()[0]["Power"].module is first  # a memo hit
-    names = incremental.referenced_names(first)
-    assert incremental.referenced_names(first) is names
 
     (tmp_path / "p").mkdir()
     text = interface_text("Power", _power_schemes(tmp_path / "p"))
@@ -466,11 +520,9 @@ def test_memo_clear_helpers_force_a_fresh_parse(tmp_path, monkeypatch):
     assert InterfaceStore().load_text(text) is iface
 
     build.clear_scan_memo()
-    incremental.clear_referenced_names_memo()
     clear_interface_memo()
     again = engine.scan()[0]["Power"].module
     assert again is not first and again == first
-    assert incremental.referenced_names(first) is not names
     assert InterfaceStore().load_text(text) is not iface
 
 

@@ -367,18 +367,24 @@ def test_non_utf8_source_is_a_module_failure(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
-def test_noop_rebuild_leaves_refs_untouched(tmp_path):
+def test_noop_rebuild_writes_nothing_under_the_cache_root(tmp_path):
     _write(tmp_path, "Power", POWER)
     cache = str(tmp_path / "cache")
-    first = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    refs = os.path.join(cache, "refs.json")
-    before = os.stat(refs)
+
+    def snapshot():
+        out = {}
+        for dirpath, _, filenames in os.walk(cache):
+            for filename in filenames:
+                st = os.stat(os.path.join(dirpath, filename))
+                out[os.path.join(dirpath, filename)] = (
+                    st.st_ino,
+                    st.st_mtime_ns,
+                )
+        return out
+
+    build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
+    before = snapshot()
     again = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
     assert again.cached == ["Power"]
-    after = os.stat(refs)
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-
-    _write(tmp_path, "Power", POWER + "\nsquare x = x * x\n")
-    edited = build_dir(str(tmp_path), BuildOptions(cache_dir=cache))
-    assert edited.keys["Power"] != first.keys["Power"]
-    assert ArtifactCache(cache).read_refs() == {"Power": edited.keys["Power"]}
+    assert again.stats.metrics.counter("cache.writes").value == 0
+    assert snapshot() == before
